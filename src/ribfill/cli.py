@@ -27,7 +27,7 @@ from .defects import (
     normalized_working_ct,
     prepare_case,
 )
-from .grid import UNIT, Mask, Volume, binarize
+from .grid import UNIT, Volume, binarize
 from .losses import LOSS_KINDS, finite_diff_check
 from .manifest import CaseManifest, read_manifest, write_manifest
 from .net import NetConfig, OptState, load_checkpoint, save_checkpoint
@@ -129,14 +129,7 @@ def _load_case(manifest_path: str | Path) -> tuple[str, TrainingCase]:
     m = read_manifest(mpath)
     defective = binarize(read_volume(m.volume_path("defective", mpath))[0], 0.5)
     implant = binarize(read_volume(m.volume_path("implant", mpath))[0], 0.5)
-    w, h, d = m.dims
-    keep = np.ones((d, h, w))
-    keep[m.box.slices] = 0.0
-    defect_mask = Mask(keep, defective.spacing)
-    case = TrainingCase(
-        defective=defective, implant=implant, box=m.box, defect_mask=defect_mask, seed=m.seed
-    )
-    return m.case_id, case
+    return m.case_id, TrainingCase(defective=defective, implant=implant, box=m.box, seed=m.seed)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

@@ -92,8 +92,12 @@ class TrainingCase:
     defective: Mask      # bone stencil with the box zeroed; the network input
     implant: Mask        # bone stencil inside the box, on the full grid
     box: Box
-    defect_mask: Mask    # 0 inside the box, 1 outside
     seed: int
+
+    @property
+    def defect_mask(self) -> Mask:
+        """The keep-mask: 0 inside the box, 1 outside."""
+        return _keep_mask(self.box, self.defective.data.shape, self.defective.spacing)
 
     def reconstruct(self) -> Mask:
         """Voxelwise max of the two halves: the original stencil."""
@@ -115,6 +119,12 @@ def threshold_bone(ct: Volume, hu_threshold: float = DEFAULT_HU_THRESHOLD) -> Ma
     if ct.domain != HU:
         raise DomainError(f"expected an HU-domain volume, got {ct.domain!r}")
     return binarize(ct, hu_threshold)
+
+
+def _keep_mask(box: Box, shape: tuple[int, int, int], spacing: tuple[float, float, float]) -> Mask:
+    keep = np.ones(shape, dtype=np.float64)
+    keep[box.slices] = 0.0
+    return Mask(keep, spacing)
 
 
 def make_defect_mask(
@@ -147,9 +157,7 @@ def make_defect_mask(
         inside = int(np.count_nonzero(bone.data[box.slices]))
         best = max(best, inside)
         if inside >= need:
-            keep = np.ones((d, h, w), dtype=np.float64)
-            keep[box.slices] = 0.0
-            return Mask(keep, bone.spacing), box
+            return _keep_mask(box, (d, h, w), bone.spacing), box
     raise PlacementError(
         f"no box of size {(sw, sh, sd)} with >= {need} bone voxels found in "
         f"{spec.max_attempts} attempts (best was {best})"
@@ -162,9 +170,7 @@ def split_case(bone: Mask, defect_mask: Mask, box: Box, seed: int) -> TrainingCa
     defective = elementwise_mul(defect_mask, bone)
     if count_nonzero(implant) == 0:
         raise EmptyImplantError(f"defect box {box.origin}+{box.size} contains no bone")
-    return TrainingCase(
-        defective=defective, implant=implant, box=box, defect_mask=defect_mask, seed=seed
-    )
+    return TrainingCase(defective=defective, implant=implant, box=box, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -148,26 +148,27 @@ def brute_force_edt_sq(mask: Mask) -> np.ndarray:
 # Hausdorff distances
 
 
-def directed_hausdorff_sq(a: Mask, b: Mask) -> float:
-    """max over a's voxels of the squared distance to the nearest b voxel."""
+def _directed_sq(a: Mask, b: Mask) -> np.ndarray:
+    """Squared distance from each of a's voxels to the nearest b voxel."""
     _check_masks(a, b, need_spacing=True)
     fa = a.data != 0.0
     if not fa.any():
         raise EmptyMaskError("directed Hausdorff from an empty mask")
-    return float(edt_sq(b)[fa].max())
+    return edt_sq(b)[fa]
+
+
+def directed_hausdorff_sq(a: Mask, b: Mask) -> float:
+    """max over a's voxels of the squared distance to the nearest b voxel."""
+    return float(_directed_sq(a, b).max())
 
 
 def directed_hausdorff(a: Mask, b: Mask, percentile: float = 100.0) -> float:
     """Directed Hausdorff in mm; ``percentile`` < 100 gives the robust variant."""
-    _check_masks(a, b, need_spacing=True)
-    fa = a.data != 0.0
-    if not fa.any():
-        raise EmptyMaskError("directed Hausdorff from an empty mask")
-    dists = np.sqrt(edt_sq(b)[fa])
-    if percentile >= 100.0:
-        return float(dists.max())
-    if not 0.0 < percentile < 100.0:
+    if not 0.0 < percentile <= 100.0:
         raise ShapeError(f"percentile must be in (0, 100], got {percentile}")
+    dists = np.sqrt(_directed_sq(a, b))
+    if percentile == 100.0:
+        return float(dists.max())
     return float(np.percentile(dists, percentile))
 
 

@@ -11,6 +11,11 @@ with a conv while still at the coarse resolution, doubles the grid, then
 concatenates the encoder skip and merges with another conv.  The head is a
 1x1x1 conv squashed by a sigmoid, so outputs live strictly inside (0, 1).
 
+The forward pass appends one ``(op, layer, saved)`` record per layer to a
+:class:`Tape`, in execution order; the backward pass is reverse-mode
+differentiation (Griewank & Walther, *Evaluating Derivatives*): one walk
+over those records from last to first.
+
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
 formulation.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -94,11 +100,6 @@ def n_params(params: NetParams) -> int:
 _PATCH_BYTES = 64e6  # im2col buffer budget; sets the depth-block size
 
 
-def _zblock(c_in: int, h: int, w: int, d: int) -> int:
-    zb = int(_PATCH_BYTES // (27 * c_in * h * w * 8))
-    return max(1, min(zb, d))
-
-
 def _w2(w: np.ndarray) -> np.ndarray:
     """(Co, Ci, 3, 3, 3) -> (Co, 27*Ci) in the patch buffer's K order."""
     c_out, c_in = w.shape[:2]
@@ -112,60 +113,48 @@ def _w2_flipped(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(wf).reshape(c_in, 27 * c_out)
 
 
-def _fill_patches(pb: np.ndarray, xp: np.ndarray, z0: int, zc: int, h: int, w: int) -> None:
-    for dz in range(3):
-        for dy in range(3):
-            for dx in range(3):
-                pb[dz, dy, dx] = xp[:, z0 + dz : z0 + dz + zc, dy : dy + h, dx : dx + w]
+def _patches(x: np.ndarray):
+    """Yield (depth slice, (27*Ci, zc*H*W) im2col matrix) per depth block of x.
 
-
-def _conv3(x: np.ndarray, w2: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """Same-padded 3x3x3 conv of (Ci, D, H, W) with a (Co, 27*Ci) kernel."""
+    The patch rows are same-padded 3x3x3 neighbourhoods in :func:`_w2`'s K
+    order.  The buffer is reused from block to block, so each matrix must
+    be consumed before the next one is drawn.
+    """
     c_in, d, h, w = x.shape
-    c_out = w2.shape[0]
-    zb = _zblock(c_in, h, w, d)
+    zb = max(1, min(int(_PATCH_BYTES // (27 * c_in * h * w * 8)), d))
     xp = np.zeros((c_in, d + 2, h + 2, w + 2))
     xp[:, 1:-1, 1:-1, 1:-1] = x
-    y = np.empty((c_out, d, h, w))
     patch = np.empty((3, 3, 3, c_in, zb, h, w))
     for z0 in range(0, d, zb):
         zc = min(zb, d - z0)
         pb = patch if zc == zb else np.empty((3, 3, 3, c_in, zc, h, w))
-        _fill_patches(pb, xp, z0, zc, h, w)
-        np.matmul(
-            w2,
-            pb.reshape(27 * c_in, zc * h * w),
-            out=y[:, z0 : z0 + zc].reshape(c_out, zc * h * w),
-        )
+        for dz in range(3):
+            for dy in range(3):
+                for dx in range(3):
+                    pb[dz, dy, dx] = xp[:, z0 + dz : z0 + dz + zc, dy : dy + h, dx : dx + w]
+        yield slice(z0, z0 + zc), pb.reshape(27 * c_in, zc * h * w)
+
+
+def _conv3(x: np.ndarray, w2: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """Same-padded 3x3x3 conv of (Ci, D, H, W) with a (Co, 27*Ci) kernel."""
+    c_out = w2.shape[0]
+    y = np.empty((c_out, *x.shape[1:]))
+    for zs, cols in _patches(x):
+        np.matmul(w2, cols, out=y[:, zs].reshape(c_out, cols.shape[1]))
     if bias is not None:
         y += bias[:, None, None, None]
     return y
 
 
 def _conv3_param_grad(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d(loss)/d(w2) and d(loss)/d(bias) for one conv layer."""
-    c_in, d, h, w = x.shape
+    """d(loss)/d(weight), shaped (Co, Ci, 3, 3, 3), and d(loss)/d(bias) for one conv."""
+    c_in = x.shape[0]
     c_out = gy.shape[0]
-    zb = _zblock(c_in, h, w, d)
-    xp = np.zeros((c_in, d + 2, h + 2, w + 2))
-    xp[:, 1:-1, 1:-1, 1:-1] = x
     gw2 = np.zeros((c_out, 27 * c_in))
-    patch = np.empty((3, 3, 3, c_in, zb, h, w))
-    for z0 in range(0, d, zb):
-        zc = min(zb, d - z0)
-        pb = patch if zc == zb else np.empty((3, 3, 3, c_in, zc, h, w))
-        _fill_patches(pb, xp, z0, zc, h, w)
-        gw2 += np.matmul(
-            gy[:, z0 : z0 + zc].reshape(c_out, zc * h * w),
-            pb.reshape(27 * c_in, zc * h * w).T,
-        )
-    gb = gy.sum(axis=(1, 2, 3))
-    return gw2, gb
-
-
-def _gw2_to_w(gw2: np.ndarray, c_in: int) -> np.ndarray:
-    c_out = gw2.shape[0]
-    return np.ascontiguousarray(gw2.reshape(c_out, 3, 3, 3, c_in).transpose(0, 4, 1, 2, 3))
+    for zs, cols in _patches(x):
+        gw2 += np.matmul(gy[:, zs].reshape(c_out, cols.shape[1]), cols.T)
+    gw = gw2.reshape(c_out, 3, 3, 3, c_in).transpose(0, 4, 1, 2, 3)
+    return np.ascontiguousarray(gw), gy.sum(axis=(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +212,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # forward / backward
 
 
-class NetCache:
-    """Everything the backward pass needs from one forward pass."""
+@dataclass
+class Tape:
+    """One forward pass, as the backward pass reads it.
 
-    def __init__(self, params: NetParams, spacing: tuple[float, float, float]) -> None:
-        self.params = params
-        self.spacing = spacing
-        self.enc_in: list[np.ndarray] = []
-        self.enc_out: list[np.ndarray] = []
-        self.enc_mask: list[np.ndarray] = []
-        self.pool_idx: list[np.ndarray] = []
-        self.bott_in: np.ndarray | None = None
-        self.bott_mask: np.ndarray | None = None
-        self.red_in: dict[int, np.ndarray] = {}
-        self.red_mask: dict[int, np.ndarray] = {}
-        self.mrg_in: dict[int, np.ndarray] = {}
-        self.mrg_mask: dict[int, np.ndarray] = {}
-        self.head_in: np.ndarray | None = None
-        self.out: np.ndarray | None = None
+    ``records`` holds one ``(op, layer, saved)`` entry per layer in
+    execution order: ``conv`` saves its input and its ReLU mask, ``pool``
+    its winner indices, ``up`` nothing, ``cat`` the skip's channel count and
+    ``head`` its input.  ``out`` is the sigmoid output, (1, D, H, W).
+    """
+
+    params: NetParams
+    spacing: tuple[float, float, float]
+    out: np.ndarray
+    records: list[tuple[str, str, object]]
 
 
-def forward(params: NetParams, vol: Volume) -> tuple[Volume, NetCache]:
-    """Run the net on one unit-domain volume; keeps a cache for backward."""
+def forward(params: NetParams, vol: Volume) -> tuple[Volume, Tape]:
+    """Run the net on one unit-domain volume; records a tape for backward."""
     if vol.domain != UNIT:
         raise DomainError(f"network input must be unit-domain, got {vol.domain!r}")
     cfg = params.config
@@ -254,96 +239,79 @@ def forward(params: NetParams, vol: Volume) -> tuple[Volume, NetCache]:
             f"dims {vol.dims} must be divisible by 2^depth = {step} for depth {cfg.depth}"
         )
     t = params.tensors
-    cache = NetCache(params, vol.spacing)
+    records: list[tuple[str, str, object]] = []
+
+    def conv(x: np.ndarray, layer: str) -> np.ndarray:
+        y, mask = _relu(_conv3(x, _w2(t[f"{layer}.w"]), t[f"{layer}.b"]))
+        records.append(("conv", layer, (x, mask)))
+        return y
+
     x = vol.data[None]
-
+    skips: list[np.ndarray] = []
     for i in range(cfg.depth):
-        cache.enc_in.append(x)
-        x, mask = _relu(_conv3(x, _w2(t[f"enc{i}.w"]), t[f"enc{i}.b"]))
-        cache.enc_mask.append(mask)
-        cache.enc_out.append(x)
+        x = conv(x, f"enc{i}")
+        skips.append(x)
         x, idx = _maxpool2(x)
-        cache.pool_idx.append(idx)
+        records.append(("pool", f"enc{i}", idx))
 
-    cache.bott_in = x
-    x, cache.bott_mask = _relu(_conv3(x, _w2(t["bott.w"]), t["bott.b"]))
+    x = conv(x, "bott")
 
     for i in reversed(range(cfg.depth)):
-        cache.red_in[i] = x
-        x, mask = _relu(_conv3(x, _w2(t[f"dec{i}.reduce.w"]), t[f"dec{i}.reduce.b"]))
-        cache.red_mask[i] = mask
+        x = conv(x, f"dec{i}.reduce")
         x = _upsample2(x)
-        x = np.concatenate([cache.enc_out[i], x], axis=0)
-        cache.mrg_in[i] = x
-        x, mask = _relu(_conv3(x, _w2(t[f"dec{i}.merge.w"]), t[f"dec{i}.merge.b"]))
-        cache.mrg_mask[i] = mask
+        records.append(("up", f"dec{i}", None))
+        skip = skips.pop()
+        x = np.concatenate([skip, x], axis=0)
+        records.append(("cat", f"dec{i}", skip.shape[0]))
+        x = conv(x, f"dec{i}.merge")
 
-    cache.head_in = x
+    records.append(("head", "head", x))
     c, d, h, w = x.shape
     logits = (t["head.w"] @ x.reshape(c, d * h * w) + t["head.b"][:, None]).reshape(1, d, h, w)
     out = _sigmoid(logits)
-    cache.out = out
-    return Volume(out[0], vol.spacing, UNIT), cache
+    return Volume(out[0], vol.spacing, UNIT), Tape(params, vol.spacing, out, records)
 
 
-def backward(cache: NetCache, grad_out: Volume) -> dict[str, np.ndarray]:
+def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     """Parameter gradients given d(loss)/d(output); pairs with :func:`forward`.
 
-    ``grad_out`` must match the cached output's dims; a cache can be used
-    once per forward pass but repeatedly for different output gradients.
+    Walks the tape once in reverse.  A ``cat`` pushes its skip's gradient
+    and the matching ``pool`` pops it, so skips pair up at any depth.
+    ``grad_out`` must match the output's dims; a tape can be walked
+    repeatedly for different output gradients.
     """
-    if cache.out is None:
-        raise ShapeError("cache holds no completed forward pass")
-    if grad_out.data.shape != cache.out.shape[1:]:
+    if grad_out.data.shape != tape.out.shape[1:]:
         raise ShapeError(
-            f"gradient dims {grad_out.dims} do not match cached output {cache.out.shape[1:][::-1]}"
+            f"gradient dims {grad_out.dims} do not match tape output {tape.out.shape[1:][::-1]}"
         )
-    cfg = cache.params.config
-    t = cache.params.tensors
+    t = tape.params.tensors
     grads: dict[str, np.ndarray] = {}
-
-    out = cache.out
+    out = tape.out
     g = grad_out.data[None] * (out * (1.0 - out))
+    skip_grads: list[np.ndarray] = []
+    first = tape.records[0]
 
-    x = cache.head_in
-    c, d, h, w = x.shape
-    g2 = g.reshape(1, d * h * w)
-    grads["head.w"] = g2 @ x.reshape(c, d * h * w).T
-    grads["head.b"] = g2.sum(axis=1)
-    g = (t["head.w"].T @ g2).reshape(c, d, h, w)
-
-    skip_grads: dict[int, np.ndarray] = {}
-    for i in range(cfg.depth):
-        w_m = t[f"dec{i}.merge.w"]
-        g = g * cache.mrg_mask[i]
-        gw2, gb = _conv3_param_grad(cache.mrg_in[i], g)
-        grads[f"dec{i}.merge.w"] = _gw2_to_w(gw2, w_m.shape[1])
-        grads[f"dec{i}.merge.b"] = gb
-        g = _conv3(g, _w2_flipped(w_m), None)
-        c_skip = cache.enc_out[i].shape[0]
-        skip_grads[i] = g[:c_skip]
-        g = _upsample2_grad(g[c_skip:])
-        w_r = t[f"dec{i}.reduce.w"]
-        g = g * cache.red_mask[i]
-        gw2, gb = _conv3_param_grad(cache.red_in[i], g)
-        grads[f"dec{i}.reduce.w"] = _gw2_to_w(gw2, w_r.shape[1])
-        grads[f"dec{i}.reduce.b"] = gb
-        g = _conv3(g, _w2_flipped(w_r), None)
-
-    g = g * cache.bott_mask
-    gw2, gb = _conv3_param_grad(cache.bott_in, g)
-    grads["bott.w"] = _gw2_to_w(gw2, t["bott.w"].shape[1])
-    grads["bott.b"] = gb
-    g = _conv3(g, _w2_flipped(t["bott.w"]), None)
-
-    for i in reversed(range(cfg.depth)):
-        g = _maxpool2_grad(g, cache.pool_idx[i])
-        g = g + skip_grads[i]
-        g = g * cache.enc_mask[i]
-        gw2, gb = _conv3_param_grad(cache.enc_in[i], g)
-        grads[f"enc{i}.w"] = _gw2_to_w(gw2, t[f"enc{i}.w"].shape[1])
-        grads[f"enc{i}.b"] = gb
-        g = _conv3(g, _w2_flipped(t[f"enc{i}.w"]), None)
+    for record in reversed(tape.records):
+        op, layer, saved = record
+        if op == "head":
+            c, d, h, w = saved.shape
+            g2 = g.reshape(1, d * h * w)
+            grads["head.w"] = g2 @ saved.reshape(c, d * h * w).T
+            grads["head.b"] = g2.sum(axis=1)
+            g = (t["head.w"].T @ g2).reshape(c, d, h, w)
+        elif op == "conv":
+            x, mask = saved
+            g = g * mask
+            grads[f"{layer}.w"], grads[f"{layer}.b"] = _conv3_param_grad(x, g)
+            if record is not first:  # nothing reads the gradient of the net's input
+                g = _conv3(g, _w2_flipped(t[f"{layer}.w"]), None)
+        elif op == "cat":
+            skip_grads.append(g[:saved])
+            g = g[saved:]
+        elif op == "up":
+            g = _upsample2_grad(g)
+        else:  # pool
+            g = _maxpool2_grad(g, saved) + skip_grads.pop()
 
     return grads
 
@@ -471,7 +439,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[NetParams, OptState]:
-    rd = _Reader(open(path, "rb").read())
+    rd = _Reader(Path(path).read_bytes())
     if rd.take(4) != _CKPT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     (version,) = rd.unpack("<I")

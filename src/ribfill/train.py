@@ -52,7 +52,7 @@ def _monitored(report: LossReport, kind: str) -> float:
 def _case_pass(
     params: NetParams, case: TrainingCase, kind: str, region: str
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
-    out, cache = forward(params, case.defective)
+    out, tape = forward(params, case.defective)
     if region == DEFECT_CROP:
         pred = crop(out, case.box)
         truth = crop(case.implant, case.box)
@@ -65,7 +65,7 @@ def _case_pass(
         full = np.zeros(out.data.shape)
         full[case.box.slices] = grad.data
         grad = Volume(full, out.spacing, UNBOUNDED)
-    return report, backward(cache, grad)
+    return report, backward(tape, grad)
 
 
 def train(
@@ -83,6 +83,9 @@ def train(
     ``params`` continues from an existing state (say, a loaded
     checkpoint); otherwise fresh parameters are drawn from ``seed``.
     With ``steps=0`` you get those initial parameters and an empty log.
+    The round-robin case cursor is derived from ``opt.step``, so
+    ``steps=k`` followed by ``steps=n-k`` with the returned params and
+    ``opt`` gives the same log and bytes as ``steps=n`` in one call.
     """
     if not cases:
         raise DomainError("need at least one training case")
@@ -94,13 +97,11 @@ def train(
         params = init_params(config, seed)
     result = TrainResult(params=params, opt=opt)
 
-    consumed = 0
     for step in range(1, steps + 1):
         acc: dict[str, np.ndarray] | None = None
         reports: list[LossReport] = []
-        for _ in range(opt.batch_size):
-            case = cases[consumed % len(cases)]
-            consumed += 1
+        for j in range(opt.batch_size):
+            case = cases[(opt.step * opt.batch_size + j) % len(cases)]
             report, grads = _case_pass(params, case, loss_kind, region)
             reports.append(report)
             if acc is None:

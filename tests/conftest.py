@@ -18,27 +18,25 @@ def random_mask(rng, dims, density, spacing=(1.0, 1.0, 1.0)):
     return Mask((rng.uniform(size=(d, h, w)) < density).astype(np.float64), spacing)
 
 
-def _relu_preacts(params, cache):
+def _relu_preacts(params, tape):
+    """Pre-activation of every conv on the tape, keyed by record index."""
     from ribfill import net as netmod
 
     t = params.tensors
-    pres = []
-    for i, xin in enumerate(cache.enc_in):
-        pres.append(netmod._conv3(xin, netmod._w2(t[f"enc{i}.w"]), t[f"enc{i}.b"]))
-    pres.append(netmod._conv3(cache.bott_in, netmod._w2(t["bott.w"]), t["bott.b"]))
-    for i in cache.red_in:
-        pres.append(
-            netmod._conv3(cache.red_in[i], netmod._w2(t[f"dec{i}.reduce.w"]), t[f"dec{i}.reduce.b"])
-        )
-        pres.append(
-            netmod._conv3(cache.mrg_in[i], netmod._w2(t[f"dec{i}.merge.w"]), t[f"dec{i}.merge.b"])
-        )
-    return pres
+    return {
+        k: netmod._conv3(saved[0], netmod._w2(t[f"{layer}.w"]), t[f"{layer}.b"])
+        for k, (op, layer, saved) in enumerate(tape.records)
+        if op == "conv"
+    }
 
 
-def _pool_gaps(cache):
+def _pool_gaps(tape, preacts):
+    """Top-two gap of every pooling window; a pool reads the conv recorded just before it."""
     gaps = []
-    for y in cache.enc_out:
+    for k, (op, _, _) in enumerate(tape.records):
+        if op != "pool":
+            continue
+        y = np.maximum(preacts[k - 1], 0.0)
         c, d, h, w = y.shape
         w8 = (
             y.reshape(c, d // 2, 2, h // 2, 2, w // 2, 2)
@@ -66,9 +64,10 @@ def smooth_net_case(config, start_seed, relu_margin=1e-5, pool_margin=1e-4):
         params = init_params(config, seed=seed)
         x = unit_volume(rng, (8, 8, 8))
         g = unit_volume(rng, (8, 8, 8))
-        _, cache = forward(params, x)
-        clear = all(np.abs(p).min() > relu_margin for p in _relu_preacts(params, cache))
-        clear = clear and all(g2.min() > pool_margin for g2 in _pool_gaps(cache))
+        _, tape = forward(params, x)
+        preacts = _relu_preacts(params, tape)
+        clear = all(np.abs(p).min() > relu_margin for p in preacts.values())
+        clear = clear and all(g2.min() > pool_margin for g2 in _pool_gaps(tape, preacts))
         if clear:
             return params, x, g, seed
         seed += 1
@@ -84,8 +83,8 @@ def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, st
     from ribfill.losses import loss_gradient, loss_value
     from ribfill.net import backward, forward
 
-    out, cache = forward(params, x)
-    grads = backward(cache, loss_gradient(kind, out, g))
+    out, tape = forward(params, x)
+    grads = backward(tape, loss_gradient(kind, out, g))
     worst = 0.0
     for name, p in params.tensors.items():
         flat = p.reshape(-1)

@@ -146,8 +146,9 @@ def test_hausdorff_percentile_is_monotone():
     h95 = hausdorff(a, b, percentile=95.0)
     h100 = hausdorff(a, b)
     assert h95 <= h100
-    with pytest.raises(ShapeError):
-        hausdorff(a, b, percentile=0.0)
+    for bad in (0.0, 150.0, float("nan")):
+        with pytest.raises(ShapeError):
+            hausdorff(a, b, percentile=bad)
 
 
 def test_metric_report_fields():

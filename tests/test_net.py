@@ -1,5 +1,8 @@
 """Network blocks, gradient checks, optimiser behaviour, checkpoints."""
 
+import gc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,7 +73,7 @@ def test_forward_output_contract():
     rng = np.random.default_rng(1)
     params = init_params(NetConfig(depth=2, base_channels=2), seed=1)
     v = unit_volume(rng, (8, 8, 8), spacing=(2.0, 3.0, 4.0))
-    out, cache = forward(params, v)
+    out, _ = forward(params, v)
     assert out.dims == v.dims
     assert out.spacing == v.spacing
     assert out.domain == UNIT
@@ -92,10 +95,10 @@ def test_forward_rejects_bad_input():
 def test_backward_rejects_mismatched_gradient():
     rng = np.random.default_rng(3)
     params = init_params(NetConfig(depth=1, base_channels=2), seed=0)
-    _, cache = forward(params, unit_volume(rng, (8, 8, 8)))
+    _, tape = forward(params, unit_volume(rng, (8, 8, 8)))
     bad = Volume(np.zeros((4, 4, 4)), S)
     with pytest.raises(ShapeError):
-        backward(cache, bad)
+        backward(tape, bad)
 
 
 def test_maxpool_ties_route_to_first_in_scan_order():
@@ -134,8 +137,9 @@ def test_conv_matches_direct_computation():
     assert np.allclose(y, ref, rtol=0, atol=1e-12)
 
 
-def test_net_parameter_gradients_match_finite_differences():
-    params, x, g, _ = smooth_net_case(NetConfig(depth=1, base_channels=2), start_seed=5)
+@pytest.mark.parametrize("depth", [1, 2])
+def test_net_parameter_gradients_match_finite_differences(depth):
+    params, x, g, _ = smooth_net_case(NetConfig(depth=depth, base_channels=2), start_seed=5)
     assert net_fd_worst(params, x, g, stride=3) < 1e-3
 
 
@@ -198,6 +202,16 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "ck2.bin"
     save_checkpoint(path2, params2, opt2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_load_checkpoint_closes_its_file(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=0), OptState())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_checkpoint(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):

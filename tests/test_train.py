@@ -100,6 +100,17 @@ def test_continuation_from_existing_params():
     assert more.opt.step == 8
 
 
+@pytest.mark.parametrize("n_cases,batch,k", [(2, 1, 1), (3, 2, 1)])
+def test_resumed_run_equals_uninterrupted_run(n_cases, batch, k):
+    cases = [tiny_case(s) for s in range(n_cases)]
+    whole = train(cases, CFG, OptState(lr=1e-2, batch_size=batch), steps=4, seed=2)
+    head = train(cases, CFG, OptState(lr=1e-2, batch_size=batch), steps=k, seed=2)
+    rest = train(cases, CFG, head.opt, steps=4 - k, params=head.params)
+    assert train_log_csv(head.log + rest.log) == train_log_csv(whole.log)
+    for name, t in whole.params.tensors.items():
+        assert rest.params.tensors[name].tobytes() == t.tobytes()
+
+
 def test_train_log_csv_round_trips():
     case = tiny_case()
     res = train([case], CFG, OptState(), steps=3, seed=0)
