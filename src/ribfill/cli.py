@@ -27,9 +27,9 @@ from .defects import (
     normalized_working_ct,
     prepare_case,
 )
-from .grid import UNIT, Volume, binarize
+from .grid import UNIT, Mask, Volume, binarize
 from .losses import LOSS_KINDS, finite_diff_check
-from .manifest import CaseManifest, read_manifest, write_manifest
+from .manifest import CaseManifest, ManifestError, read_manifest, write_manifest
 from .net import NetConfig, OptState, load_checkpoint, save_checkpoint
 from .nifti import read_volume, write_volume
 from .phantom import PhantomSpec, generate_phantom
@@ -124,11 +124,18 @@ def _cmd_prep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_mask(path: Path, dims: tuple[int, int, int]) -> Mask:
+    vol = read_volume(path)[0]
+    if vol.dims != dims:
+        raise ManifestError(f"{path}: volume dims {vol.dims} do not match manifest dims {dims}")
+    return binarize(vol, 0.5)
+
+
 def _load_case(manifest_path: str | Path) -> tuple[str, TrainingCase]:
     mpath = Path(manifest_path)
     m = read_manifest(mpath)
-    defective = binarize(read_volume(m.volume_path("defective", mpath))[0], 0.5)
-    implant = binarize(read_volume(m.volume_path("implant", mpath))[0], 0.5)
+    defective = _load_mask(m.volume_path("defective", mpath), m.dims)
+    implant = _load_mask(m.volume_path("implant", mpath), m.dims)
     return m.case_id, TrainingCase(defective=defective, implant=implant, box=m.box, seed=m.seed)
 
 

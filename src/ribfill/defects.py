@@ -166,6 +166,8 @@ def make_defect_mask(
 
 def split_case(bone: Mask, defect_mask: Mask, box: Box, seed: int) -> TrainingCase:
     """Split the stencil into defective input and implant target."""
+    if not np.array_equal(defect_mask.data, _keep_mask(box, bone.data.shape, bone.spacing).data):
+        raise DomainError(f"defect mask is not the keep-mask of box {box.origin}+{box.size}")
     implant = elementwise_mul(complement(defect_mask), bone)
     defective = elementwise_mul(defect_mask, bone)
     if count_nonzero(implant) == 0:

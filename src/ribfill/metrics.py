@@ -1,12 +1,13 @@
 """Overlap and surface-distance metrics, each with a brute-force oracle.
 
 The distance machinery is an exact separable squared Euclidean distance
-transform: one lower-envelope-of-parabolas pass per axis, weighted by that
-axis' spacing squared, composed x then y then z.  Per-voxel arithmetic
-matches the naive all-pairs scan operation for operation (products and the
-same left-to-right sum of the three axis terms), so with benign spacings
-the two agree bit for bit; the oracles here are kept deliberately naive so
-tests can hold the fast path to that.
+transform: one min-plus pass per axis, ``d[i] = min_v f[v] + w*(i - v)^2``
+with ``w`` that axis' spacing squared, composed x then y then z.  Each term
+is the same rounded product the naive all-pairs scan forms, and rounded
+addition is monotone, so taking the minimum axis by axis commutes with the
+later sums: the result equals the scan's all-pairs minimum bit for bit, at
+any spacing.  The oracles here are kept deliberately naive so tests can
+hold the fast path to that.
 
 Empty masks have no surface, so Hausdorff distances on them raise instead
 of returning a sentinel that could slip through an aggregation unnoticed.
@@ -20,7 +21,8 @@ import numpy as np
 
 from .grid import Mask, ShapeError, Volume
 
-_FAR = 1e30  # finite "no parabola here" sentinel; dwarfs any real distance
+_FAR = 1e30  # finite "no mask voxel here" sentinel; dwarfs any real distance
+_MINPLUS_BYTES = 32 << 20  # budget for one (rows, n, n) min-plus block of an EDT pass
 
 
 class EmptyMaskError(ValueError):
@@ -63,44 +65,18 @@ def dsc(a: Mask, b: Mask) -> float:
 # exact separable squared EDT
 
 
-def _edt_1d_sq(f: np.ndarray, w: float) -> np.ndarray:
-    """d[i] = min_v f[v] + w*(i - v)^2 via the lower envelope of parabolas."""
-    n = f.size
-    d = np.empty(n)
-    v = np.empty(n, dtype=np.intp)
-    z = np.empty(n + 1)
-    v[0] = 0
-    z[0] = -np.inf
-    z[1] = np.inf
-    k = 0
-    for q in range(1, n):
-        fq = f[q] + w * (q * q)
-        while True:
-            p = v[k]
-            s = (fq - (f[p] + w * (p * p))) / (2.0 * w * (q - p))
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
-    for i in range(n):
-        while z[k + 1] < i:
-            k += 1
-        p = v[k]
-        d[i] = w * ((i - p) * (i - p)) + f[p]
-    return d
-
-
 def _edt_pass(arr: np.ndarray, axis: int, w: float) -> np.ndarray:
+    """d[..., i] = min_v f[..., v] + w*(i - v)^2 along ``axis``, rows in blocks."""
     moved = np.moveaxis(arr, axis, -1)
-    flat = np.ascontiguousarray(moved).reshape(-1, arr.shape[axis])
-    for row in range(flat.shape[0]):
-        flat[row] = _edt_1d_sq(flat[row], w)
-    return np.moveaxis(flat.reshape(moved.shape), -1, axis)
+    n = moved.shape[-1]
+    flat = moved.reshape(-1, n)
+    off = np.arange(n)
+    cost = w * ((off[:, None] - off) * (off[:, None] - off))  # cost[i, v]
+    out = np.empty(flat.shape)
+    rows = max(1, _MINPLUS_BYTES // (8 * n * n))
+    for r0 in range(0, flat.shape[0], rows):
+        out[r0 : r0 + rows] = (flat[r0 : r0 + rows, None, :] + cost).min(axis=-1)
+    return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 
 def edt_sq(mask: Mask) -> np.ndarray:

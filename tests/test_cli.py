@@ -97,6 +97,22 @@ def test_train_missing_manifest_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_train_rejects_volumes_that_do_not_match_manifest_dims(tmp_path, capsys):
+    run_phantom(tmp_path, dims=(16, 16, 8))
+    prep = tmp_path / "prep"
+    assert main(["prep", str(tmp_path / "case000_ct.nii"), "--work-dims", "16", "16", "8",
+                 "--out-dir", str(prep)]) == 0
+    manifest = prep / "case000.manifest"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("dims = 16 16 8", "dims = 64 64 32"), encoding="utf-8")
+    code = main(["train", str(manifest), "--steps", "1", "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "case000_defective.nii" in err
+    assert "(16, 16, 8)" in err and "(64, 64, 32)" in err
+
+
 def test_eval_rejects_foreign_checkpoint(tmp_path, capsys):
     run_phantom(tmp_path)
     prep = tmp_path / "prep"

@@ -147,6 +147,15 @@ def test_split_case_rejects_empty_implant():
         split_case(bone, keep, box, seed=0)
 
 
+def test_split_case_rejects_mask_that_is_not_the_box():
+    bone = Mask(np.ones((8, 8, 8)), S)
+    arr = np.ones((8, 8, 8))
+    arr[:2, :2, :2] = 0.0
+    keep = Mask(arr, S)
+    with pytest.raises(DomainError, match=r"\(4, 4, 4\)\+\(2, 2, 2\)"):
+        split_case(bone, keep, Box((4, 4, 4), (2, 2, 2)), seed=0)
+
+
 def test_prepare_case_desk_defaults_on_phantom():
     ct = generate_phantom(PhantomSpec(seed=9))
     config = PipelineConfig()

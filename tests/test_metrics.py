@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_mask
+from ribfill import metrics
 from ribfill.grid import Mask, ShapeError
 from ribfill.metrics import (
     EmptyMaskError,
@@ -77,6 +78,36 @@ def test_edt_matches_brute_force_exactly():
         if not m.data.any():
             continue
         assert np.array_equal(edt_sq(m), brute_force_edt_sq(m))
+
+
+def test_edt_matches_brute_force_exactly_at_non_dyadic_spacing():
+    rng = np.random.default_rng(7)
+    for trial in range(6):
+        m = random_mask(rng, (11, 9, 7), 0.06, (0.7, 1.3, 2.9))
+        if m.data.any():
+            assert np.array_equal(edt_sq(m), brute_force_edt_sq(m))
+
+
+def test_edt_row_blocks_match_brute_force(monkeypatch):
+    # room for three 10-long rows: the x pass runs 21 blocks of 3 rows, the
+    # y pass (70 rows of 9) 23 blocks of 3 and a short last block of 1
+    monkeypatch.setattr(metrics, "_MINPLUS_BYTES", 3 * 8 * 10 * 10)
+    m = random_mask(np.random.default_rng(8), (10, 9, 7), 0.05, (0.7, 1.3, 2.9))
+    assert m.data.any()
+    assert np.array_equal(edt_sq(m), brute_force_edt_sq(m))
+
+
+def test_edt_all_foreground_is_zero():
+    assert np.array_equal(edt_sq(Mask(np.ones((3, 4, 5)), (0.7, 1.3, 2.9))), np.zeros((3, 4, 5)))
+
+
+def test_edt_single_corner_voxel():
+    m = _single((5, 4, 3), (0, 0, 0), spacing=(0.7, 1.3, 2.9))
+    z, y, x = np.meshgrid(np.arange(3.0), np.arange(4.0), np.arange(5.0), indexing="ij")
+    want = x * x * (0.7 * 0.7)
+    want += y * y * (1.3 * 1.3)
+    want += z * z * (2.9 * 2.9)
+    assert np.array_equal(edt_sq(m), want)
 
 
 def test_edt_scaling_with_power_of_two_spacing():
