@@ -11,8 +11,8 @@ from .defects import (
     PipelineConfig,
     PlacementError,
     TrainingCase,
-    make_defect_mask,
     normalize_ct,
+    place_defect,
     prepare_case,
     scaled_defect_size,
     split_case,
@@ -29,10 +29,8 @@ from .grid import (
     ShapeError,
     Volume,
     binarize,
-    complement,
     count_nonzero,
     crop,
-    elementwise_mul,
     paste,
     trilinear_resize,
     vol_mean,

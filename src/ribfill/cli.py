@@ -22,6 +22,7 @@ from .defects import (
     DEFAULT_HU_THRESHOLD,
     DEFAULT_WINDOW,
     DESK_DIMS,
+    DefectSpec,
     PipelineConfig,
     TrainingCase,
     normalized_working_ct,
@@ -71,10 +72,12 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         work_dims=tuple(args.work_dims),
         window=tuple(args.window),
         hu_threshold=args.hu_threshold,
-        defect_size=tuple(args.defect_size) if args.defect_size else None,
-        band=tuple(args.band),
-        min_bone_fraction=args.min_bone_frac,
-        max_attempts=args.max_attempts,
+        defect=DefectSpec(
+            size=tuple(args.defect_size) if args.defect_size else None,
+            band=tuple(args.band),
+            min_bone_fraction=args.min_bone_frac,
+            max_attempts=args.max_attempts,
+        ),
     )
 
 

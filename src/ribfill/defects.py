@@ -1,12 +1,12 @@
 """From a CT volume to a training pair: bone stencil, cuboid defect, split.
 
 The flow mirrors the intended clinical setting: threshold the CT to get the
-bone stencil, bring it to the working grid, carve out a cuboid "defect"
-whose height sits in a band of the thorax, and split the stencil into the
-defective part (network input) and the removed part (regression target).
-The two halves always partition the stencil exactly: the removed part is
-``stencil`` inside the box and the defective part is ``stencil`` outside
-it, nothing is lost or counted twice.
+bone stencil, bring it to the working grid, place a cuboid "defect" box whose
+height sits in a band of the thorax, and split the stencil at that box into
+the defective part (network input) and the removed part (regression target).
+The box is the defect's only record.  The two halves always partition the
+stencil exactly: the removed part is ``stencil`` inside the box and the
+defective part is ``stencil`` outside it, nothing is lost or counted twice.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ import numpy as np
 from .grid import (
     HU,
     UNIT,
+    BoundsError,
     Box,
     DomainError,
     Mask,
     Volume,
     binarize,
-    complement,
-    count_nonzero,
-    elementwise_mul,
     trilinear_resize,
 )
 
@@ -68,7 +66,7 @@ def scaled_defect_size(
 class DefectSpec:
     """Where and how large the carved-out cuboid may be."""
 
-    size: tuple[int, int, int] = FULL_SCALE_DEFECT
+    size: tuple[int, int, int] | None = None  # None: full-scale box rescaled to the grid
     band: tuple[float, float] = DEFAULT_BAND
     min_bone_fraction: float = 0.01
     max_attempts: int = 32
@@ -77,7 +75,7 @@ class DefectSpec:
         lo, hi = self.band
         if not (0.0 <= lo <= hi <= 1.0):
             raise DomainError(f"height band must satisfy 0 <= lo <= hi <= 1, got {self.band}")
-        if any(s < 1 for s in self.size):
+        if self.size is not None and any(s < 1 for s in self.size):
             raise DomainError(f"defect size must be positive, got {self.size}")
         if not (0.0 <= self.min_bone_fraction <= 1.0):
             raise DomainError(f"min bone fraction must be in [0, 1], got {self.min_bone_fraction}")
@@ -97,7 +95,9 @@ class TrainingCase:
     @property
     def defect_mask(self) -> Mask:
         """The keep-mask: 0 inside the box, 1 outside."""
-        return _keep_mask(self.box, self.defective.data.shape, self.defective.spacing)
+        keep = np.ones_like(self.defective.data)
+        keep[self.box.slices] = 0.0
+        return Mask(keep, self.defective.spacing)
 
     def reconstruct(self) -> Mask:
         """Voxelwise max of the two halves: the original stencil."""
@@ -121,16 +121,8 @@ def threshold_bone(ct: Volume, hu_threshold: float = DEFAULT_HU_THRESHOLD) -> Ma
     return binarize(ct, hu_threshold)
 
 
-def _keep_mask(box: Box, shape: tuple[int, int, int], spacing: tuple[float, float, float]) -> Mask:
-    keep = np.ones(shape, dtype=np.float64)
-    keep[box.slices] = 0.0
-    return Mask(keep, spacing)
-
-
-def make_defect_mask(
-    dims: tuple[int, int, int], bone: Mask, spec: DefectSpec, seed: int
-) -> tuple[Mask, Box]:
-    """Place the defect cuboid and return (keep-mask, box).
+def place_defect(bone: Mask, spec: DefectSpec, seed: int) -> Box:
+    """Place the defect cuboid on the stencil's grid.
 
     The height-axis start is drawn uniformly from the band scaled to the
     grid height, then clamped so the box fits; x and y starts are uniform
@@ -138,10 +130,10 @@ def make_defect_mask(
     covers at least ``min_bone_fraction`` of its own volume in bone
     voxels; up to ``max_attempts`` draws are made before giving up.
     """
-    if bone.dims != tuple(dims):
-        raise DomainError(f"bone stencil dims {bone.dims} do not match grid dims {tuple(dims)}")
+    dims = bone.dims
     w, h, d = dims
-    sw, sh, sd = (min(spec.size[i], dims[i]) for i in range(3))
+    size = scaled_defect_size(dims) if spec.size is None else spec.size
+    sw, sh, sd = (min(size[i], dims[i]) for i in range(3))
     lo_z = int(round(spec.band[0] * d))
     hi_z = int(round(spec.band[1] * d))
     need = max(1, math.ceil(spec.min_bone_fraction * sw * sh * sd))
@@ -157,22 +149,24 @@ def make_defect_mask(
         inside = int(np.count_nonzero(bone.data[box.slices]))
         best = max(best, inside)
         if inside >= need:
-            return _keep_mask(box, (d, h, w), bone.spacing), box
+            return box
     raise PlacementError(
         f"no box of size {(sw, sh, sd)} with >= {need} bone voxels found in "
         f"{spec.max_attempts} attempts (best was {best})"
     )
 
 
-def split_case(bone: Mask, defect_mask: Mask, box: Box, seed: int) -> TrainingCase:
-    """Split the stencil into defective input and implant target."""
-    if not np.array_equal(defect_mask.data, _keep_mask(box, bone.data.shape, bone.spacing).data):
-        raise DomainError(f"defect mask is not the keep-mask of box {box.origin}+{box.size}")
-    implant = elementwise_mul(complement(defect_mask), bone)
-    defective = elementwise_mul(defect_mask, bone)
-    if count_nonzero(implant) == 0:
+def split_case(bone: Mask, box: Box, seed: int) -> TrainingCase:
+    """Split the stencil at ``box`` into defective input and implant target."""
+    if not box.fits(bone.dims):
+        raise BoundsError(f"box {box.origin}+{box.size} exceeds dims {bone.dims}")
+    implant = np.zeros_like(bone.data)
+    implant[box.slices] = bone.data[box.slices]
+    if not implant.any():
         raise EmptyImplantError(f"defect box {box.origin}+{box.size} contains no bone")
-    return TrainingCase(defective=defective, implant=implant, box=box, seed=seed)
+    defective = bone.data.copy()
+    defective[box.slices] = 0.0
+    return TrainingCase(Mask(defective, bone.spacing), Mask(implant, bone.spacing), box, seed)
 
 
 @dataclass(frozen=True)
@@ -182,21 +176,7 @@ class PipelineConfig:
     work_dims: tuple[int, int, int] = DESK_DIMS
     window: tuple[float, float] = DEFAULT_WINDOW
     hu_threshold: float = DEFAULT_HU_THRESHOLD
-    defect_size: tuple[int, int, int] | None = None   # None: rescale the full-scale box
-    band: tuple[float, float] = DEFAULT_BAND
-    min_bone_fraction: float = 0.01
-    max_attempts: int = 32
-
-    def defect_spec(self) -> DefectSpec:
-        size = self.defect_size
-        if size is None:
-            size = scaled_defect_size(self.work_dims)
-        return DefectSpec(
-            size=size,
-            band=self.band,
-            min_bone_fraction=self.min_bone_fraction,
-            max_attempts=self.max_attempts,
-        )
+    defect: DefectSpec = DefectSpec()
 
 
 def prepare_case(ct: Volume, config: PipelineConfig, seed: int) -> TrainingCase:
@@ -208,8 +188,7 @@ def prepare_case(ct: Volume, config: PipelineConfig, seed: int) -> TrainingCase:
     """
     stencil = threshold_bone(ct, config.hu_threshold)
     work = binarize(trilinear_resize(stencil, config.work_dims), 0.5)
-    defect_mask, box = make_defect_mask(config.work_dims, work, config.defect_spec(), seed)
-    return split_case(work, defect_mask, box, seed)
+    return split_case(work, place_defect(work, config.defect, seed), seed)
 
 
 def normalized_working_ct(ct: Volume, config: PipelineConfig) -> Volume:

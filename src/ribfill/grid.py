@@ -142,36 +142,7 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
-
-
-def _require_same_dims(a: Volume, b: Volume) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"dims mismatch: {a.dims} vs {b.dims}")
-
-
-def elementwise_mul(a: Volume, b: Volume) -> Volume:
-    """Voxelwise product; spacing copied from ``a``.
-
-    The result is unit-domain when both inputs are (a product of values in
-    [0, 1] stays there); masks stay masks.
-    """
-    _require_same_dims(a, b)
-    out = a.data * b.data
-    if isinstance(a, Mask) and isinstance(b, Mask):
-        return Mask(out, a.spacing)
-    dom = UNIT if (a.domain == UNIT and b.domain == UNIT) else UNBOUNDED
-    return Volume(out, a.spacing, dom)
-
-
-def complement(v: Volume) -> Volume:
-    """1 - v for unit-domain volumes."""
-    if v.domain != UNIT:
-        raise DomainError(f"complement needs a unit-domain volume, got {v.domain!r}")
-    out = 1.0 - v.data
-    if isinstance(v, Mask):
-        return Mask(out, v.spacing)
-    return Volume(out, v.spacing, UNIT)
+# thresholding
 
 
 def binarize(v: Volume, tau: float) -> Mask:

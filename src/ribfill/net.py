@@ -23,6 +23,7 @@ formulation.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,20 +74,25 @@ class NetParams:
     tensors: dict[str, np.ndarray]
 
 
+def _tensor_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter tensor, weight before bias, in forward order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, c_in, c_out in config.layer_plan():
+        shapes[f"{name}.w"] = (c_out, c_in) if name == "head" else (c_out, c_in, 3, 3, 3)
+        shapes[f"{name}.b"] = (c_out,)
+    return shapes
+
+
 def init_params(config: NetConfig, seed: int) -> NetParams:
     """Fan-in-scaled uniform weights, zero biases, one stream of draws."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    for name, c_in, c_out in config.layer_plan():
-        if name == "head":
-            fan_in = c_in
-            shape: tuple[int, ...] = (c_out, c_in)
+    for name, shape in _tensor_shapes(config).items():
+        if name.endswith(".b"):
+            tensors[name] = np.zeros(shape)
         else:
-            fan_in = c_in * 27
-            shape = (c_out, c_in, 3, 3, 3)
-        bound = 1.0 / np.sqrt(fan_in)
-        tensors[f"{name}.w"] = rng.uniform(-bound, bound, size=shape)
-        tensors[f"{name}.b"] = np.zeros(c_out)
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
     return NetParams(config=config, tensors=tensors)
 
 
@@ -223,7 +229,6 @@ class Tape:
     """
 
     params: NetParams
-    spacing: tuple[float, float, float]
     out: np.ndarray
     records: list[tuple[str, str, object]]
 
@@ -269,7 +274,7 @@ def forward(params: NetParams, vol: Volume) -> tuple[Volume, Tape]:
     c, d, h, w = x.shape
     logits = (t["head.w"] @ x.reshape(c, d * h * w) + t["head.b"][:, None]).reshape(1, d, h, w)
     out = _sigmoid(logits)
-    return Volume(out[0], vol.spacing, UNIT), Tape(params, vol.spacing, out, records)
+    return Volume(out[0], vol.spacing, UNIT), Tape(params, out, records)
 
 
 def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
@@ -446,19 +451,28 @@ def load_checkpoint(path) -> tuple[NetParams, OptState]:
     if version != _CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     depth, base = rd.unpack("<II")
-    config = NetConfig(depth=depth, base_channels=base)
+    try:
+        config = NetConfig(depth=depth, base_channels=base)
+    except DomainError as exc:
+        raise CheckpointError(f"{path}: bad net header: {exc}") from None
     (n_tensors,) = rd.unpack("<I")
+    # 3d + 2 convs of two tensors each, checked first: a corrupt depth makes a huge plan
+    if n_tensors != 2 * (3 * depth + 2):
+        raise CheckpointError(f"{path}: {n_tensors} tensors cannot make a depth-{depth} net")
+    shapes = _tensor_shapes(config)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
+        name = rd.take(name_len).decode("utf-8", errors="replace")
         (ndim,) = rd.unpack("<B")
         shape = rd.unpack(f"<{ndim}I")
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        tensors[name] = np.frombuffer(rd.take(count * 8), dtype="<f8").reshape(shape).copy()
-    expected = {f"{name}.{suffix}" for name, _, _ in config.layer_plan() for suffix in ("w", "b")}
-    if set(tensors) != expected:
-        raise CheckpointError(f"tensor names do not match a {depth}/{base} net")
+        if name in tensors or shapes.get(name) != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} of shape {shape} is repeated or does not fit "
+                f"a {depth}/{base} net"
+            )
+        raw = rd.take(math.prod(shape) * 8)
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     lr, beta1, beta2, eps, wd, batch, step = rd.unpack("<dddddIQ")
     opt = OptState(
         lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=wd,

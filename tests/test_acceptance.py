@@ -151,6 +151,7 @@ def test_c5_partition_invariant_on_fifty_cases(fifty):
     assert time.perf_counter() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_c6_overfit_hits_the_loss_and_dsc_bars(overfit):
     root, train_seconds = overfit
     log = (root / "run" / "training_log.csv").read_text(encoding="utf-8").splitlines()
@@ -191,6 +192,7 @@ def test_c7_blob_and_gap_ablation_ordering():
     assert loss_value("gf", p_filled, g) < gf0
 
 
+@pytest.mark.slow
 def test_c8_reruns_are_bitwise_identical(tmp_path, overfit, fifty):
     for (case, stencil), (case2, stencil2) in zip(fifty, _build_fifty()):
         assert np.array_equal(case.defective.data, case2.defective.data)

@@ -66,6 +66,26 @@ def test_prep_rejects_impossible_placement(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_prep_defect_flags_reach_placement(tmp_path):
+    run_phantom(tmp_path)
+    out = tmp_path / "prep"
+    code = run_prep(out, [tmp_path / "case000_ct.nii"],
+                    extra=("--defect-size", "8", "8", "4", "--band", "0.2", "0.9"))
+    assert code == 0
+    m = read_manifest(out / "case000.manifest")
+    assert m.box.size == (8, 8, 4)
+    assert round(0.2 * 16) <= m.box.origin[2] <= round(0.9 * 16)  # band of the 16-deep grid
+
+
+def test_prep_rejects_inverted_band(tmp_path, capsys):
+    run_phantom(tmp_path)
+    out = tmp_path / "prep"
+    code = run_prep(out, [tmp_path / "case000_ct.nii"], extra=("--band", "0.9", "0.1"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(out.glob("case000*"))
+
+
 def test_train_then_eval_flow(tmp_path, capsys):
     run_phantom(tmp_path)
     prep = tmp_path / "prep"

@@ -9,8 +9,8 @@ from ribfill.defects import (
     EmptyImplantError,
     PipelineConfig,
     PlacementError,
-    make_defect_mask,
     normalize_ct,
+    place_defect,
     prepare_case,
     scaled_defect_size,
     split_case,
@@ -19,15 +19,14 @@ from ribfill.defects import (
 from ribfill.grid import (
     HU,
     UNIT,
+    BoundsError,
     Box,
     DomainError,
     Mask,
     Volume,
     binarize,
     count_nonzero,
-    elementwise_mul,
     trilinear_resize,
-    vol_sum,
 )
 from ribfill.phantom import PhantomSpec, generate_phantom
 
@@ -67,21 +66,19 @@ def test_scaled_defect_size_desk():
 
 def test_defect_start_clamps_to_fit_full_scale():
     # at full scale, band [0.5, 0.75] of 128 with a 64-deep box forces z0 = 64
-    dims = (32, 32, 128)
     bone = Mask(np.ones((128, 32, 32)), S)
     spec = DefectSpec(size=(16, 16, 64))
     for seed in range(10):
-        _, box = make_defect_mask(dims, bone, spec, seed)
-        assert box.origin[2] == 64
+        assert place_defect(bone, spec, seed).origin[2] == 64
 
 
 def test_defect_band_sampling_and_mask_shape():
-    dims = (24, 24, 64)
     bone = Mask(np.ones((64, 24, 24)), S)
     spec = DefectSpec(size=(8, 8, 8))
     starts = set()
     for seed in range(40):
-        keep, box = make_defect_mask(dims, bone, spec, seed)
+        box = place_defect(bone, spec, seed)
+        keep = split_case(bone, box, seed).defect_mask
         assert box.size == (8, 8, 8)
         z0 = box.origin[2]
         starts.add(z0)
@@ -92,11 +89,16 @@ def test_defect_band_sampling_and_mask_shape():
 
 
 def test_defect_size_clamps_to_grid():
-    dims = (8, 8, 8)
     bone = Mask(np.ones((8, 8, 8)), S)
-    _, box = make_defect_mask(dims, bone, DefectSpec(size=(64, 64, 64)), 0)
+    box = place_defect(bone, DefectSpec(size=(64, 64, 64)), 0)
     assert box.size == (8, 8, 8)
     assert box.origin == (0, 0, 0)
+
+
+def test_default_defect_size_scales_to_the_stencil_grid():
+    assert DefectSpec().size is None
+    bone = Mask(np.ones((32, 64, 64)), S)  # (W, H, D) = (64, 64, 32)
+    assert place_defect(bone, DefectSpec(), 0).size == scaled_defect_size((64, 64, 32))
 
 
 def test_placement_rejects_bone_free_boxes():
@@ -105,12 +107,12 @@ def test_placement_rejects_bone_free_boxes():
     arr[8:, 8:, 8:] = 1.0
     bone = Mask(arr, S)
     spec = DefectSpec(size=(4, 4, 4), band=(0.5, 0.75))
-    keep, box = make_defect_mask((16, 16, 16), bone, spec, seed=1)
+    box = place_defect(bone, spec, seed=1)
     inside = bone.data[box.slices]
     assert inside.sum() >= np.ceil(0.01 * 64)
     empty = Mask(np.zeros((16, 16, 16)), S)
     with pytest.raises(PlacementError, match="attempts"):
-        make_defect_mask((16, 16, 16), empty, spec, seed=1)
+        place_defect(empty, spec, seed=1)
 
 
 def test_min_bone_fraction_is_ceiled():
@@ -119,7 +121,7 @@ def test_min_bone_fraction_is_ceiled():
     arr[4, 4, 4] = 1.0
     bone = Mask(arr, S)
     spec = DefectSpec(size=(4, 4, 4), band=(0.0, 1.0), max_attempts=200)
-    keep, box = make_defect_mask((8, 8, 8), bone, spec, seed=0)
+    box = place_defect(bone, spec, seed=0)
     assert bone.data[box.slices].sum() >= 1
 
 
@@ -127,10 +129,10 @@ def test_split_case_partitions_exactly():
     rng = np.random.default_rng(4)
     bone = random_mask(rng, (16, 16, 16), 0.3)
     spec = DefectSpec(size=(6, 6, 6))
-    keep, box = make_defect_mask((16, 16, 16), bone, spec, seed=2)
-    case = split_case(bone, keep, box, seed=2)
+    box = place_defect(bone, spec, seed=2)
+    case = split_case(bone, box, seed=2)
     # no overlap, and together they re-compose the stencil
-    assert vol_sum(elementwise_mul(case.defective, case.implant)) == 0.0
+    assert not np.minimum(case.defective.data, case.implant.data).any()
     assert np.array_equal(case.reconstruct().data, bone.data)
     outside = np.ones((16, 16, 16), dtype=bool)
     outside[box.slices] = False
@@ -139,21 +141,15 @@ def test_split_case_partitions_exactly():
 
 def test_split_case_rejects_empty_implant():
     bone = Mask(np.zeros((8, 8, 8)), S)
-    arr = np.ones((8, 8, 8))
-    box = Box((0, 0, 0), (4, 4, 4))
-    arr[box.slices] = 0.0
-    keep = Mask(arr, S)
     with pytest.raises(EmptyImplantError):
-        split_case(bone, keep, box, seed=0)
+        split_case(bone, Box((0, 0, 0), (4, 4, 4)), seed=0)
 
 
-def test_split_case_rejects_mask_that_is_not_the_box():
+def test_split_case_rejects_box_outside_grid():
+    # 64 box voxels, only 8 of them on the grid
     bone = Mask(np.ones((8, 8, 8)), S)
-    arr = np.ones((8, 8, 8))
-    arr[:2, :2, :2] = 0.0
-    keep = Mask(arr, S)
-    with pytest.raises(DomainError, match=r"\(4, 4, 4\)\+\(2, 2, 2\)"):
-        split_case(bone, keep, Box((4, 4, 4), (2, 2, 2)), seed=0)
+    with pytest.raises(BoundsError, match=r"\(6, 6, 6\)\+\(4, 4, 4\).*\(8, 8, 8\)"):
+        split_case(bone, Box((6, 6, 6), (4, 4, 4)), seed=0)
 
 
 def test_prepare_case_desk_defaults_on_phantom():

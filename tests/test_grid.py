@@ -1,4 +1,4 @@
-"""Volume construction rules, elementwise ops, resampling, crop/paste."""
+"""Volume construction rules, thresholding, resampling, crop/paste."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from conftest import random_mask, unit_volume
 from ribfill.grid import (
     HU,
-    UNBOUNDED,
     UNIT,
     BoundsError,
     Box,
@@ -15,10 +14,8 @@ from ribfill.grid import (
     ShapeError,
     Volume,
     binarize,
-    complement,
     count_nonzero,
     crop,
-    elementwise_mul,
     paste,
     trilinear_resize,
     vol_mean,
@@ -67,44 +64,6 @@ def test_ravel_is_x_fastest():
     assert flat[1] == arr[0, 0, 1]
     assert flat[4] == arr[0, 1, 0]
     assert flat[12] == arr[1, 0, 0]
-
-
-def test_elementwise_mul_domains_and_shapes():
-    rng = np.random.default_rng(0)
-    a = unit_volume(rng, (4, 4, 4))
-    b = unit_volume(rng, (4, 4, 4))
-    out = elementwise_mul(a, b)
-    assert out.domain == UNIT
-    assert np.array_equal(out.data, a.data * b.data)
-    hu = Volume(rng.normal(size=(4, 4, 4)) * 100, S, HU)
-    assert elementwise_mul(a, hu).domain == UNBOUNDED
-    with pytest.raises(ShapeError):
-        elementwise_mul(a, unit_volume(rng, (4, 4, 2)))
-    ma = random_mask(rng, (4, 4, 4), 0.5)
-    mb = random_mask(rng, (4, 4, 4), 0.5)
-    assert isinstance(elementwise_mul(ma, mb), Mask)
-
-
-def test_unit_product_stays_under_quarter():
-    # x * (1 - x) never exceeds 1/4 for unit volumes
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        v = unit_volume(rng, (5, 4, 3))
-        prod = elementwise_mul(v, complement(v))
-        assert prod.domain == UNIT
-        assert prod.data.max() <= 0.25
-
-
-def test_complement_involution_and_domain():
-    rng = np.random.default_rng(2)
-    v = unit_volume(rng, (4, 4, 4))
-    assert np.array_equal(complement(complement(v)).data, v.data)
-    m = random_mask(rng, (4, 4, 4), 0.3)
-    cm = complement(m)
-    assert isinstance(cm, Mask)
-    assert np.array_equal(cm.data, 1.0 - m.data)
-    with pytest.raises(DomainError):
-        complement(Volume(np.zeros((2, 2, 2)), S, HU))
 
 
 def test_binarize_threshold_semantics():

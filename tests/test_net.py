@@ -1,6 +1,8 @@
 """Network blocks, gradient checks, optimiser behaviour, checkpoints."""
 
 import gc
+import signal
+import struct
 import warnings
 
 import numpy as np
@@ -230,3 +232,32 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
+
+
+def _overran(signum, frame):
+    raise TimeoutError("load_checkpoint ran for over 2 s")
+
+
+# header: magic, version, depth at byte 8, base at 12, tensor count at 16,
+# then the first tensor's name length at 20 and its name at 22
+@pytest.mark.parametrize("offset, value", [
+    (8, 0),            # depth 0
+    (12, 0),           # base channels 0
+    (12, 9),           # base 8 -> 9: every tensor shape disagrees with the header
+    (8, 2 | 1 << 20),  # depth with bit 20 flipped: a million-layer plan
+    (22, 0xFFFFFFFF),  # first tensor name "enc0.w" -> bytes that are not UTF-8
+], ids=["depth-0", "base-0", "base-9", "depth-bit-20", "name-not-utf8"])
+def test_checkpoint_rejects_corrupted_header(tmp_path, offset, value):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, init_params(NetConfig(depth=2, base_channels=8), seed=0), OptState())
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.alarm(2)
+    try:
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

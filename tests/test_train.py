@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ribfill.defects import PipelineConfig, prepare_case
+from ribfill.defects import DefectSpec, PipelineConfig, prepare_case
 from ribfill.grid import HU, DomainError, Volume
 from ribfill.losses import DEFECT_CROP, FULL_VOLUME
 from ribfill.metrics import EmptyMaskError
@@ -25,7 +25,7 @@ def tiny_case(seed=0):
     data[1:7, 2:14, 2:14] = 40.0
     data[3:6, 4:12, 4:12] = 700.0
     ct = Volume(data, (2.0, 2.0, 4.0), HU)
-    cfg = PipelineConfig(work_dims=(16, 16, 8), defect_size=(4, 4, 4), band=(0.4, 0.6))
+    cfg = PipelineConfig(work_dims=(16, 16, 8), defect=DefectSpec(size=(4, 4, 4), band=(0.4, 0.6)))
     return prepare_case(ct, cfg, seed=seed)
 
 
