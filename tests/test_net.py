@@ -1,6 +1,8 @@
 """Network blocks, gradient checks, optimiser behaviour, checkpoints."""
 
 import gc
+import itertools
+import math
 import signal
 import struct
 import warnings
@@ -120,23 +122,48 @@ def test_maxpool_ties_route_to_first_in_scan_order():
     assert idx2.reshape(-1).tolist() == [6]  # dz=1, dy=1, dx=0
 
 
-def test_conv_matches_direct_computation():
+# (Ci, Co, D, H, W) and the block budget.  At 2000 bytes the walk over a
+# 3x4x7 grid (padded rows of Wp = 9 columns, 162 output columns) takes blocks
+# of 11 columns for Ci = 2 and 7 for Ci = 3: several full blocks, a short
+# tail, and block edges in the middle of a row.
+@pytest.mark.parametrize("shape, block_bytes", [
+    ((3, 2, 4, 5, 6), None),
+    ((2, 3, 3, 4, 7), 2000),
+], ids=["one-block", "many-blocks"])
+def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
+    c_in, c_out, d, h, w_ = shape
+    if block_bytes is not None:
+        monkeypatch.setattr(netmod, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(3, 4, 5, 6))
-    w = rng.normal(size=(2, 3, 3, 3, 3))
-    b = rng.normal(size=2)
-    y = netmod._conv3(x, netmod._w2(w), b)
-    xp = np.zeros((3, 6, 7, 8))
+    x = rng.normal(size=(c_in, d, h, w_))
+    w = rng.normal(size=(c_out, c_in, 3, 3, 3))
+    b = rng.normal(size=c_out)
+    gy = rng.normal(size=(c_out, d, h, w_))
+    xp = np.zeros((c_in, d + 2, h + 2, w_ + 2))
     xp[:, 1:-1, 1:-1, 1:-1] = x
-    ref = np.zeros((2, 4, 5, 6))
-    for co in range(2):
-        for dz in range(3):
-            for dy in range(3):
-                for dx in range(3):
-                    for ci in range(3):
-                        ref[co] += w[co, ci, dz, dy, dx] * xp[ci, dz : dz + 4, dy : dy + 5, dx : dx + 6]
-        ref[co] += b[co]
-    assert np.allclose(y, ref, rtol=0, atol=1e-12)
+    ref = np.zeros((c_out, d, h, w_))
+    ref_gw = np.zeros(w.shape)
+    ref_gxp = np.zeros(xp.shape)  # the adjoint, scattered tap by tap
+    for co, ci, dz, dy, dx in itertools.product(range(c_out), range(c_in), range(3), range(3), range(3)):
+        win = (ci, slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w_))
+        ref[co] += w[co, ci, dz, dy, dx] * xp[win]
+        ref_gw[co, ci, dz, dy, dx] = np.sum(gy[co] * xp[win])
+        ref_gxp[win] += w[co, ci, dz, dy, dx] * gy[co]
+
+    w2 = netmod._w2(w)
+    assert np.allclose(netmod._conv3(x, w2, None), ref, rtol=0, atol=1e-12)
+    assert np.allclose(netmod._conv3(x, w2, b), ref + b[:, None, None, None], rtol=0, atol=1e-12)
+    gw, gb = netmod._conv3_param_grad(x, gy)
+    assert np.allclose(gw, ref_gw, rtol=0, atol=1e-12)
+    assert np.allclose(gb, gy.sum(axis=(1, 2, 3)), rtol=0, atol=1e-12)
+    gx = netmod._conv3(gy, netmod._w2_flipped(w), None)
+    assert np.allclose(gx, ref_gxp[:, 1:-1, 1:-1, 1:-1], rtol=0, atol=1e-12)
+    if block_bytes is not None:
+        for arr in (x, gy):  # the forward/dW walk and the dX walk
+            blocks = [cols for cols, _ in netmod._patches(arr)]
+            spans = [cols.stop - cols.start for cols in blocks]
+            assert len(spans) > 2 and 0 < spans[-1] < spans[0]
+            assert any(cols.start % (w_ + 2) for cols in blocks)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -261,3 +288,26 @@ def test_checkpoint_rejects_corrupted_header(tmp_path, offset, value):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# the optimiser block "<dddddIQ" (lr, beta1, beta2, eps, weight decay, batch
+# size, step) sits just before the one-byte moments flag of a checkpoint saved
+# before the first step; offsets are within that block
+@pytest.mark.parametrize("offset, fmt, value", [
+    (0, "<d", -1.0),
+    (8, "<d", 2.0),
+    (32, "<d", -1.0),
+    (40, "<I", 0),
+    (0, "<d", math.nan),
+    (24, "<d", math.nan),
+    (32, "<d", math.nan),
+], ids=["lr-negative", "beta1-2", "weight-decay-negative", "batch-0", "lr-nan", "eps-nan",
+        "weight-decay-nan"])
+def test_checkpoint_rejects_corrupted_optimiser_block(tmp_path, offset, fmt, value):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=0), OptState())
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, len(raw) - 1 - struct.calcsize("<dddddIQ") + offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="optimiser"):
+        load_checkpoint(path)
