@@ -1,11 +1,11 @@
 """A compact 3-D encoder-decoder with hand-written forward and backward.
 
 Everything runs in float64 on the CPU.  Convolutions are 3x3x3, same
-padding, one GEMM per cache-sized column block of the flat zero-padded grid
-with the three x taps folded into the kernel's rows; weight gradients walk
-the same blocks, and input gradients convolve the upstream gradient with the
-offset-flipped, in/out-swapped kernel, so no scatter operation ever
-appears.  Downsampling is 2x2x2 max pooling (ties go to the first
+padding, one GEMM per cache-sized column block of a flat zero-framed window
+of the input with the three x taps folded into the kernel's rows; weight
+gradients walk the same blocks, and input gradients convolve the upstream
+gradient with the offset-flipped, in/out-swapped kernel, so no scatter
+operation ever appears.  Downsampling is 2x2x2 max pooling (ties go to the first
 maximal voxel in canonical x-fastest scan order), upsampling is
 nearest-neighbour doubling.  Each decoder level halves the channel count
 with a conv while still at the coarse resolution, doubles the grid, then
@@ -15,7 +15,12 @@ concatenates the encoder skip and merges with another conv.  The head is a
 The forward pass appends one ``(op, layer, saved)`` record per layer to a
 :class:`Tape`, in execution order; the backward pass is reverse-mode
 differentiation (Griewank & Walther, *Evaluating Derivatives*): one walk
-over those records from last to first.
+over those records from last to first.  The walk carries the gradient only on
+its support box, the bounding box of its nonzeros, as sparse-block
+convolution does for one block (Ren et al., SBNet): a loss scored on the
+defect crop costs a backward pass over the crop plus a halo of one voxel per
+conv, not over the whole grid.  Each conv frames its gradient with zeros once,
+and both its weight gradient and its input gradient read that copy.
 
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
@@ -25,6 +30,7 @@ formulation.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,13 +110,13 @@ def n_params(params: NetParams) -> int:
 # ---------------------------------------------------------------------------
 # conv kernels
 
-# A same-padded 3x3x3 conv reads its input zero-padded by one voxel a side,
-# with one spare z plane so the last block stays in bounds, and flattened
-# with the padded strides Hp = H + 2, Wp = W + 2.  Output voxel (z, y, x) is
-# column q = z*Hp*Wp + y*Wp + x of a padded-stride output, and its tap
-# (dz, dy, dx) is input column q + dz*Hp*Wp + dy*Wp + dx: each (dz, dy) is
-# one contiguous run of columns and dx only shifts it.  Output columns with
-# y >= H or x >= W are junk.
+# A 3x3x3 conv reads a zero-framed window of its input (see :func:`_window`)
+# flattened with the window's strides Hp*Wp and Wp.  Output column
+# q = z*Hp*Wp + y*Wp + x then reads its tap (dz, dy, dx) at window column
+# q + dz*Hp*Wp + dy*Wp + dx: each (dz, dy) is one contiguous run of columns
+# and dx only shifts it.  The walk covers all but the last three planes of
+# the window; with a one-voxel frame, output columns with y >= H or x >= W
+# read across a row's end and are junk.
 
 _BLOCK_BYTES = 1 << 21  # patch-block budget; step time was flat from 256 KiB to 8 MiB
 
@@ -126,21 +132,33 @@ def _w2_flipped(w: np.ndarray) -> np.ndarray:
     return _w2(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
 
 
-def _patches(x: np.ndarray):
-    """Yield (output columns, (9*Ci, n+2) patch block) over the flat padded grid of x.
+def _window(x: np.ndarray, lo, hi) -> np.ndarray:
+    """x over the box [lo, hi) with a one-voxel frame and a spare z plane: (C, D+3, H+2, W+2).
 
-    Row (dz*3 + dy)*Ci + ci holds channel ci from column q + dz*Hp*Wp + dy*Wp
-    on, for the block's n output columns q and two halo columns, so tap dx is
-    ``block[:, dx : dx + n]``.  The buffer is reused, so each block must be
-    consumed before the next one is drawn.
+    The frame holds the real neighbours of the box and zeros where it passes
+    a face of the grid, like a same-padded conv; the spare plane is zero.
     """
-    c_in, d, h, w = x.shape
-    hp, wp = h + 2, w + 2
-    xp = np.zeros((c_in, d + 3, hp, wp))
-    xp[:, 1 : d + 1, 1 : h + 1, 1 : w + 1] = x
-    m = d * hp * wp
+    n = [b - a for a, b in zip(lo, hi)]
+    xp = np.zeros((x.shape[0], n[0] + 3, n[1] + 2, n[2] + 2))
+    src = [slice(max(a - 1, 0), min(b + 1, s)) for a, b, s in zip(lo, hi, x.shape[1:])]
+    dst = [slice(s.start - a + 1, s.stop - a + 1) for s, a in zip(src, lo)]
+    xp[(slice(None), *dst)] = x[(slice(None), *src)]
+    return xp
+
+
+def _patches(xp: np.ndarray):
+    """Yield (output columns, (9*Ci, n+2) patch block) over the flat window xp, (Ci, Dp, Hp, Wp).
+
+    The walk covers output columns [0, (Dp - 3)*Hp*Wp).  Row (dz*3 + dy)*Ci + ci
+    holds channel ci from column q + dz*Hp*Wp + dy*Wp on, for the block's n
+    output columns q and two halo columns, so tap dx is ``block[:, dx : dx + n]``.
+    The buffer is reused, so each block must be consumed before the next one
+    is drawn.
+    """
+    c_in, dp, hp, wp = xp.shape
+    m = (dp - 3) * hp * wp
     item = xp.itemsize
-    # taps[dz, dy, ci, j] is flat padded column j + dz*Hp*Wp + dy*Wp of channel ci
+    # taps[dz, dy, ci, j] is flat window column j + dz*Hp*Wp + dy*Wp of channel ci
     taps = np.lib.stride_tricks.as_strided(
         xp, shape=(3, 3, c_in, m + 2), strides=(hp * wp * item, wp * item, xp.strides[0], item),
         writeable=False,
@@ -154,41 +172,63 @@ def _patches(x: np.ndarray):
         yield slice(q0, q0 + n), blk.reshape(9 * c_in, n + 2)
 
 
-def _conv3(x: np.ndarray, w2: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """Same-padded 3x3x3 conv of (Ci, D, H, W) with a (3*Co, 9*Ci) kernel from :func:`_w2`.
+def _conv3(xp: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """3x3x3 conv over a window from :func:`_window` with a (3*Co, 9*Ci) kernel from :func:`_w2`.
 
-    One GEMM per patch block gives each dx its own row group; the three are
-    summed at column shifts 0, 1, 2 into the padded-stride output.
+    Returns the (Co, Dp-3, Hp, Wp) output, junk columns included.  One GEMM
+    per patch block gives each dx its own row group; the three are summed at
+    column shifts 0, 1, 2.
     """
     c_out = w2.shape[0] // 3
-    _, d, h, w = x.shape
-    yp = np.empty((c_out, d, h + 2, w + 2))
+    _, dp, hp, wp = xp.shape
+    yp = np.empty((c_out, dp - 3, hp, wp))
     yf = yp.reshape(c_out, -1)
-    for cols, blk in _patches(x):
+    for cols, blk in _patches(xp):
         n = cols.stop - cols.start
         p = w2 @ blk
         out = yf[:, cols]
         np.add(p[:c_out, :n], p[c_out : 2 * c_out, 1 : n + 1], out=out)
         out += p[2 * c_out :, 2:]
-    y = yp[:, :, :h, :w]
-    return y + bias[:, None, None, None] if bias is not None else y.copy()
+    return yp
 
 
-def _conv3_param_grad(x: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d(loss)/d(weight), shaped (Co, Ci, 3, 3, 3), and d(loss)/d(bias) for one conv."""
-    c_in = x.shape[0]
-    c_out, d, h, w = gy.shape
-    gp = np.zeros((c_out, d, h + 2, w + 2))  # padded-stride layout, zero in the junk columns
-    gp[:, :, :h, :w] = gy
+def _conv_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padded 3x3x3 conv of (Ci, D, H, W) plus bias, before the ReLU."""
+    _, d, h, w_ = x.shape
+    yp = _conv3(_window(x, (0, 0, 0), (d, h, w_)), _w2(w))
+    return yp[:, :, :h, :w_] + b[:, None, None, None]
+
+
+def _conv3_weight_grad(xp: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """d(loss)/d(weight), (Co, Ci, 3, 3, 3), from the input's window xp of a box
+    and the upstream gradient on that box, framed by :func:`_frame`."""
+    c_in, _, hp, wp = xp.shape
+    c_out = gp.shape[0]
+    shift = 2 * hp * wp + 2 * wp + 2
     gf = gp.reshape(c_out, -1)
     gw2 = np.zeros((3, c_out, 9 * c_in))
-    for cols, blk in _patches(x):
+    for cols, blk in _patches(xp):
         n = cols.stop - cols.start
-        g = gf[:, cols]
+        g = gf[:, shift + cols.start : shift + cols.stop]
         for dx in range(3):
             gw2[dx] += g @ blk[:, dx : dx + n].T
     gw = gw2.reshape(3, c_out, 3, 3, c_in).transpose(1, 4, 2, 3, 0)
-    return np.ascontiguousarray(gw), gy.sum(axis=(1, 2, 3))
+    return np.ascontiguousarray(gw)
+
+
+def _frame(g: np.ndarray) -> np.ndarray:
+    """g, (C, D, H, W), framed as (C, D+5, H+2, W+2) for both halves of a conv's backward.
+
+    g sits at [2:D+2, 2:, 2:], so in the flat data two zeros precede each
+    row of g.  Walked by :func:`_patches`, the frame gives the transposed
+    conv on the box grown by one voxel a side, with no junk columns; from
+    column 2*Hp*Wp + 2*Wp + 2 on, it is g in the walk's output layout for
+    the box itself, zero in the junk columns.
+    """
+    c, d, h, w = g.shape
+    gp = np.zeros((c, d + 5, h + 2, w + 2))
+    gp[:, 2 : d + 2, 2:, 2:] = g
+    return gp
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +315,7 @@ def forward(params: NetParams, vol: Volume) -> tuple[Volume, Tape]:
     records: list[tuple[str, str, object]] = []
 
     def conv(x: np.ndarray, layer: str) -> np.ndarray:
-        y, mask = _relu(_conv3(x, _w2(t[f"{layer}.w"]), t[f"{layer}.b"]))
+        y, mask = _relu(_conv_layer(x, t[f"{layer}.w"], t[f"{layer}.b"]))
         records.append(("conv", layer, (x, mask)))
         return y
 
@@ -305,13 +345,44 @@ def forward(params: NetParams, vol: Volume) -> tuple[Volume, Tape]:
     return Volume(out[0], vol.spacing, UNIT), Tape(params, out, records)
 
 
+def _at(lo, hi) -> tuple[slice, ...]:
+    """Index of the box [lo, hi) over every channel of a (C, D, H, W) array."""
+    return (slice(None), *(slice(a, b) for a, b in zip(lo, hi)))
+
+
+def _support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds [lo, hi) of the smallest box holding every nonzero of a; one voxel at the origin if none."""
+    nz = a != 0.0
+    lo, hi = np.zeros(3, dtype=int), np.ones(3, dtype=int)
+    for axis in range(3):
+        hit = np.flatnonzero(nz.any(axis=tuple(k for k in range(3) if k != axis)))
+        if hit.size:
+            lo[axis], hi[axis] = hit[0], hit[-1] + 1
+    return lo, hi
+
+
+def _pad_to(g: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g, whose box starts at lo, zero-extended to the enclosing box [a, b)."""
+    out = np.zeros((g.shape[0], *(b - a)))
+    out[_at(lo - a, lo - a + g.shape[1:])] = g
+    return out
+
+
 def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     """Parameter gradients given d(loss)/d(output); pairs with :func:`forward`.
 
-    Walks the tape once in reverse.  A ``cat`` pushes its skip's gradient
-    and the matching ``pool`` pops it, so skips pair up at any depth.
-    ``grad_out`` must match the output's dims; a tape can be walked
-    repeatedly for different output gradients.
+    Walks the tape once in reverse, carrying the gradient only on its
+    support box, first the bounding box of the nonzeros of ``grad_out``
+    (the crop for a defect-crop loss, the whole grid for a full-volume one).
+    A conv takes its weight gradient on the box from the input's window,
+    whose one-voxel halo holds real neighbours and zeros only at grid faces.
+    Its input gradient, on the box grown by one voxel a side and clipped to
+    the grid, convolves the same zero-framed copy of the gradient; zeros are
+    exact there, as the gradient vanishes outside its box.  ``up`` aligns
+    the box to even bounds and halves it; ``cat`` pushes the skip's gradient
+    with the same box, and the matching ``pool`` pops it and adds it to the
+    winners' gradient on the union of the two boxes.  ``grad_out`` must
+    match the output's dims; a tape can be walked repeatedly.
     """
     if grad_out.data.shape != tape.out.shape[1:]:
         raise ShapeError(
@@ -319,32 +390,48 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
         )
     t = tape.params.tensors
     grads: dict[str, np.ndarray] = {}
-    out = tape.out
-    g = grad_out.data[None] * (out * (1.0 - out))
-    skip_grads: list[np.ndarray] = []
+    lo, hi = _support(grad_out.data)
+    out = tape.out[_at(lo, hi)]
+    g = grad_out.data[None][_at(lo, hi)] * (out * (1.0 - out))
+    skip_grads: list[tuple[np.ndarray, np.ndarray]] = []
     first = tape.records[0]
 
     for record in reversed(tape.records):
         op, layer, saved = record
+        hi = lo + g.shape[1:]
         if op == "head":
-            c, d, h, w = saved.shape
-            g2 = g.reshape(1, d * h * w)
-            grads["head.w"] = g2 @ saved.reshape(c, d * h * w).T
+            c = saved.shape[0]
+            g2 = g.reshape(1, -1)
+            grads["head.w"] = g2 @ saved[_at(lo, hi)].reshape(c, -1).T
             grads["head.b"] = g2.sum(axis=1)
-            g = (t["head.w"].T @ g2).reshape(c, d, h, w)
+            g = (t["head.w"].T @ g2).reshape(c, *g.shape[1:])
         elif op == "conv":
             x, mask = saved
-            g = g * mask
-            grads[f"{layer}.w"], grads[f"{layer}.b"] = _conv3_param_grad(x, g)
+            g = g * mask[_at(lo, hi)]
+            gp = _frame(g)
+            grads[f"{layer}.w"] = _conv3_weight_grad(_window(x, lo, hi), gp)
+            grads[f"{layer}.b"] = g.sum(axis=(1, 2, 3))
             if record is not first:  # nothing reads the gradient of the net's input
-                g = _conv3(g, _w2_flipped(t[f"{layer}.w"]), None)
+                # the input gradient lives on the box grown by one voxel a side; its
+                # part inside the grid is [s, e) of that, and the frame's planes
+                # s[0] .. e[0]+2 are all the walk needs for that z range
+                a, b = np.maximum(lo - 1, 0), np.minimum(hi + 1, x.shape[1:])
+                s, e = a - lo + 1, b - lo + 1
+                gx = _conv3(gp[:, s[0] : e[0] + 3], _w2_flipped(t[f"{layer}.w"]))
+                g, lo = gx[:, :, s[1] : e[1], s[2] : e[2]], a
         elif op == "cat":
-            skip_grads.append(g[:saved])
+            skip_grads.append((g[:saved], lo))
             g = g[saved:]
         elif op == "up":
-            g = _upsample2_grad(g)
+            a, b = lo & ~1, (hi + 1) & ~1
+            g, lo = _upsample2_grad(_pad_to(g, lo, a, b)), a // 2
         else:  # pool
-            g = _maxpool2_grad(g, saved) + skip_grads.pop()
+            skip, skip_lo = skip_grads.pop()
+            g, lo = _maxpool2_grad(g, saved[_at(lo, hi)]), 2 * lo
+            a = np.minimum(lo, skip_lo)
+            b = np.maximum(lo + g.shape[1:], skip_lo + skip.shape[1:])
+            g, lo = _pad_to(g, lo, a, b), a
+            g[_at(skip_lo - a, skip_lo - a + skip.shape[1:])] += skip
 
     return grads
 
@@ -424,7 +511,12 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(path, params: NetParams, opt: OptState) -> None:
-    """Versioned little-endian binary dump of parameters and optimiser state."""
+    """Versioned little-endian binary dump of parameters and optimiser state.
+
+    The bytes go to a temporary file beside ``path``, are synced to disk and
+    then renamed onto it, so a failed or interrupted save leaves the previous
+    checkpoint whole and no temporary file behind.
+    """
     cfg = params.config
     chunks: list[bytes] = [
         _CKPT_MAGIC,
@@ -452,8 +544,17 @@ def save_checkpoint(path, params: NetParams, opt: OptState) -> None:
         for store in (opt.m, opt.v):
             for name in params.tensors:
                 chunks.append(np.ascontiguousarray(store[name], dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from ribfill.grid import UNIT, Mask, Volume
+from ribfill.grid import UNBOUNDED, UNIT, Mask, Volume, crop
 
 
 def unit_volume(rng, dims, spacing=(1.0, 1.0, 1.0)):
@@ -24,7 +24,7 @@ def _relu_preacts(params, tape):
 
     t = params.tensors
     return {
-        k: netmod._conv3(saved[0], netmod._w2(t[f"{layer}.w"]), t[f"{layer}.b"])
+        k: netmod._conv_layer(saved[0], t[f"{layer}.w"], t[f"{layer}.b"])
         for k, (op, layer, saved) in enumerate(tape.records)
         if op == "conv"
     }
@@ -73,18 +73,28 @@ def smooth_net_case(config, start_seed, relu_margin=1e-5, pool_margin=1e-4):
         seed += 1
 
 
-def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, stride=1):
+def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, stride=1, box=None):
     """Worst relative error of analytic vs central-difference parameter gradients.
 
     Gradients below ``resolve_floor`` are beyond what the difference quotient
     can resolve in float64; those probes instead assert the numeric estimate is
-    itself negligible, so a dropped term would still surface.
+    itself negligible, so a dropped term would still surface.  With ``box``
+    the loss is scored on that crop only, as training's defect-crop region
+    does, and its gradient is zero outside the box.
     """
     from ribfill.losses import loss_gradient, loss_value
     from ribfill.net import backward, forward
 
+    def scored(out):
+        return (crop(out, box), crop(g, box)) if box is not None else (out, g)
+
     out, tape = forward(params, x)
-    grads = backward(tape, loss_gradient(kind, out, g))
+    grad = loss_gradient(kind, *scored(out))
+    if box is not None:
+        full = np.zeros(out.data.shape)
+        full[box.slices] = grad.data
+        grad = Volume(full, out.spacing, UNBOUNDED)
+    grads = backward(tape, grad)
     worst = 0.0
     for name, p in params.tensors.items():
         flat = p.reshape(-1)
@@ -92,9 +102,9 @@ def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, st
         for j in range(0, flat.size, stride):
             orig = flat[j]
             flat[j] = orig + h
-            fp = loss_value(kind, forward(params, x)[0], g)
+            fp = loss_value(kind, *scored(forward(params, x)[0]))
             flat[j] = orig - h
-            fm = loss_value(kind, forward(params, x)[0], g)
+            fm = loss_value(kind, *scored(forward(params, x)[0]))
             flat[j] = orig
             numeric = (fp - fm) / (2 * h)
             if abs(gflat[j]) < resolve_floor:

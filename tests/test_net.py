@@ -1,5 +1,6 @@
 """Network blocks, gradient checks, optimiser behaviour, checkpoints."""
 
+import errno
 import gc
 import itertools
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import ribfill.net as netmod
 from conftest import net_fd_worst, smooth_net_case, unit_volume
-from ribfill.grid import UNIT, DomainError, ShapeError, Volume
+from ribfill.grid import UNIT, Box, DomainError, ShapeError, Volume
 from ribfill.losses import loss_gradient, loss_value
 from ribfill.net import (
     CheckpointError,
@@ -123,9 +124,10 @@ def test_maxpool_ties_route_to_first_in_scan_order():
 
 
 # (Ci, Co, D, H, W) and the block budget.  At 2000 bytes the walk over a
-# 3x4x7 grid (padded rows of Wp = 9 columns, 162 output columns) takes blocks
-# of 11 columns for Ci = 2 and 7 for Ci = 3: several full blocks, a short
-# tail, and block edges in the middle of a row.
+# 3x4x7 grid (padded rows of Wp = 9 columns; 162 output columns for the
+# input's window, 270 for the framed gradient) takes blocks of 11 columns for
+# Ci = 2 and 7 for Ci = 3: several full blocks, a short tail, and block edges
+# in the middle of a row.
 @pytest.mark.parametrize("shape, block_bytes", [
     ((3, 2, 4, 5, 6), None),
     ((2, 3, 3, 4, 7), 2000),
@@ -150,26 +152,111 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
         ref_gw[co, ci, dz, dy, dx] = np.sum(gy[co] * xp[win])
         ref_gxp[win] += w[co, ci, dz, dy, dx] * gy[co]
 
-    w2 = netmod._w2(w)
-    assert np.allclose(netmod._conv3(x, w2, None), ref, rtol=0, atol=1e-12)
-    assert np.allclose(netmod._conv3(x, w2, b), ref + b[:, None, None, None], rtol=0, atol=1e-12)
-    gw, gb = netmod._conv3_param_grad(x, gy)
+    xp = netmod._window(x, (0, 0, 0), (d, h, w_))
+    gp = netmod._frame(gy)
+    y = netmod._conv3(xp, netmod._w2(w))[:, :, :h, :w_]
+    assert np.allclose(y, ref, rtol=0, atol=1e-12)
+    assert np.allclose(netmod._conv_layer(x, w, b), ref + b[:, None, None, None], rtol=0, atol=1e-12)
+    gw = netmod._conv3_weight_grad(xp, gp)
     assert np.allclose(gw, ref_gw, rtol=0, atol=1e-12)
-    assert np.allclose(gb, gy.sum(axis=(1, 2, 3)), rtol=0, atol=1e-12)
-    gx = netmod._conv3(gy, netmod._w2_flipped(w), None)
-    assert np.allclose(gx, ref_gxp[:, 1:-1, 1:-1, 1:-1], rtol=0, atol=1e-12)
+    # the transposed conv fills the grid grown by one voxel a side, halo included
+    gx = netmod._conv3(gp, netmod._w2_flipped(w))
+    assert np.allclose(gx, ref_gxp, rtol=0, atol=1e-12)
     if block_bytes is not None:
-        for arr in (x, gy):  # the forward/dW walk and the dX walk
-            blocks = [cols for cols, _ in netmod._patches(arr)]
+        for win in (xp, gp):  # the forward/dW walk and the dX walk
+            blocks = [cols for cols, _ in netmod._patches(win)]
             spans = [cols.stop - cols.start for cols in blocks]
             assert len(spans) > 2 and 0 < spans[-1] < spans[0]
             assert any(cols.start % (w_ + 2) for cols in blocks)
 
 
-@pytest.mark.parametrize("depth", [1, 2])
-def test_net_parameter_gradients_match_finite_differences(depth):
+# the last case scores the loss on a crop touching the x = 0 face, so backward
+# runs on a support box smaller than the grid
+@pytest.mark.parametrize("depth, box", [
+    (1, None),
+    (2, None),
+    (2, Box((0, 2, 3), (3, 4, 5))),
+], ids=["1", "2", "2-face-box"])
+def test_net_parameter_gradients_match_finite_differences(depth, box):
     params, x, g, _ = smooth_net_case(NetConfig(depth=depth, base_channels=2), start_seed=5)
-    assert net_fd_worst(params, x, g, stride=3) < 1e-3
+    assert net_fd_worst(params, x, g, stride=3, box=box) < 1e-3
+
+
+def _dense_backward(tape, grad_out):
+    """Full-grid reverse walk over the tape with direct 27-tap conv loops."""
+    t = tape.params.tensors
+    grads = {}
+    g = grad_out[None] * tape.out * (1.0 - tape.out)
+    skips = []
+    for op, layer, saved in reversed(tape.records):
+        if op == "head":
+            grads["head.w"] = np.einsum("vzyx,czyx->vc", g, saved)
+            grads["head.b"] = g.sum(axis=(1, 2, 3))
+            g = np.einsum("vc,vzyx->czyx", t["head.w"], g)
+        elif op == "conv":
+            x, mask = saved
+            w = t[f"{layer}.w"]
+            g = g * mask
+            _, d, h, w_ = x.shape
+            xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+            gxp = np.zeros(xp.shape)
+            gw = np.zeros(w.shape)
+            for dz, dy, dx in itertools.product(range(3), repeat=3):
+                win = (slice(None), slice(dz, dz + d), slice(dy, dy + h), slice(dx, dx + w_))
+                gw[:, :, dz, dy, dx] = np.einsum("ozyx,izyx->oi", g, xp[win])
+                gxp[win] += np.einsum("oi,ozyx->izyx", w[:, :, dz, dy, dx], g)
+            grads[f"{layer}.w"], grads[f"{layer}.b"] = gw, g.sum(axis=(1, 2, 3))
+            g = gxp[:, 1:-1, 1:-1, 1:-1]
+        elif op == "cat":
+            skips.append(g[:saved])
+            g = g[saved:]
+        elif op == "up":
+            g = sum(g[:, a::2, b::2, c::2] for a, b, c in itertools.product(range(2), repeat=3))
+        else:  # pool: winner k = dz*4 + dy*2 + dx
+            c, d, h, w_ = g.shape
+            gx = np.zeros((c, 2 * d, 2 * h, 2 * w_))
+            for k, (a, b, cc) in enumerate(itertools.product(range(2), repeat=3)):
+                gx[:, a::2, b::2, cc::2] = np.where(saved == k, g, 0.0)
+            g = gx + skips.pop()
+    return grads
+
+
+# (z, y, x) bounds [lo, hi) of the output gradient's support on a 16x8x24
+# (D, H, W) grid: one box on each face, a corner, an odd origin and size (so
+# up and pool must align the box), one voxel, the whole grid, and no support
+_BOXES = {
+    "z-low": ((0, 2, 5), (5, 6, 12)),
+    "z-high": ((11, 2, 5), (16, 6, 12)),
+    "y-low": ((3, 0, 5), (9, 3, 12)),
+    "y-high": ((3, 5, 5), (9, 8, 12)),
+    "x-low": ((3, 2, 0), (9, 6, 7)),
+    "x-high": ((3, 2, 17), (9, 6, 24)),
+    "corner": ((10, 5, 18), (16, 8, 24)),
+    "odd": ((3, 1, 5), (8, 4, 12)),
+    "voxel": ((7, 3, 11), (8, 4, 12)),
+    "full": ((0, 0, 0), (16, 8, 24)),
+    "zero": None,
+}
+
+
+@pytest.mark.parametrize("box", list(_BOXES))
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_backward_matches_dense_reference(depth, box):
+    rng = np.random.default_rng(depth)
+    params = init_params(NetConfig(depth=depth, base_channels=2), seed=depth)
+    out, tape = forward(params, unit_volume(rng, (24, 8, 16)))
+    g = np.zeros(out.data.shape)
+    if _BOXES[box] is not None:
+        sl = tuple(slice(a, b) for a, b in zip(*_BOXES[box]))
+        g[sl] = rng.normal(size=g[sl].shape)
+    grads = backward(tape, Volume(g, S))
+    ref = _dense_backward(tape, g)
+    assert set(grads) == set(params.tensors)
+    for name, p in params.tensors.items():
+        assert grads[name].shape == p.shape
+        # an all-zero reference demands exact zeros
+        assert np.abs(grads[name] - ref[name]).max() <= 1e-12 * np.abs(ref[name]).max(), name
+    adam_step(params, grads, OptState())
 
 
 def test_adam_worked_example():
@@ -231,6 +318,42 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "ck2.bin"
     save_checkpoint(path2, params2, opt2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+class _HalfWriter:
+    """A file whose write stores half the bytes and then fails, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _failing_fsync(fd):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "fsync"])
+def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=0), OptState())
+    before = path.read_bytes()
+    if fail_at == "write":
+        monkeypatch.setattr(netmod, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False)
+    else:
+        monkeypatch.setattr(netmod.os, "fsync", _failing_fsync)
+    with pytest.raises(OSError):
+        save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=1), OptState())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
 
 
 def test_load_checkpoint_closes_its_file(tmp_path):
