@@ -1,6 +1,6 @@
 """Overfit the micro U-Net on one phantom case and score the implant.
 
-The full 500 steps take about a minute and a half on a 2-vCPU x86 machine; pass
+The full 500 steps take about half a minute on a 2-vCPU x86 machine; pass
 --steps 100 for a quicker (and rougher) look.
 """
 

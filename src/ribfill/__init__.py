@@ -72,7 +72,6 @@ from .net import (
     forward,
     init_params,
     load_checkpoint,
-    n_params,
     save_checkpoint,
 )
 from .nifti import NiftiError, VolumeHeader, read_volume, write_volume

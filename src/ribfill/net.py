@@ -12,15 +12,25 @@ with a conv while still at the coarse resolution, doubles the grid, then
 concatenates the encoder skip and merges with another conv.  The head is a
 1x1x1 conv squashed by a sigmoid, so outputs live strictly inside (0, 1).
 
-The forward pass appends one ``(op, layer, saved)`` record per layer to a
-:class:`Tape`, in execution order; the backward pass is reverse-mode
-differentiation (Griewank & Walther, *Evaluating Derivatives*): one walk
-over those records from last to first.  The walk carries the gradient only on
-its support box, the bounding box of its nonzeros, as sparse-block
-convolution does for one block (Ren et al., SBNet): a loss scored on the
-defect crop costs a backward pass over the crop plus a halo of one voxel per
-conv, not over the whole grid.  Each conv frames its gradient with zeros once,
-and both its weight gradient and its input gradient read that copy.
+Both passes work on boxes, as sparse-block convolution does for one block
+(Ren et al., SBNet).  The forward is asked for its output on a box (the whole
+grid by default) and first walks the layers in reverse to find the box each
+layer must output for that, its demand box: the output box's cone, one voxel
+wider per conv, aligned and halved or doubled at each change of level.  Each
+layer then runs only on its box, so a loss scored on the defect crop skips
+most of the decoder.  Every conv GEMM is a multiple of 8 columns wide, so a
+voxel's value does not depend on where its block ends, and the output on a
+box is byte-equal to that box of the whole-grid output.
+
+The forward appends one ``(op, layer, lo, saved)`` record per layer to a
+:class:`Tape`, in execution order, where ``lo`` is the origin of the
+layer's box; the backward pass is reverse-mode differentiation (Griewank &
+Walther, *Evaluating Derivatives*): one walk over those records from last to
+first.  The walk carries the gradient only on its support box, the bounding
+box of its nonzeros, so a loss scored on the defect crop costs a backward
+pass over the crop plus a halo of one voxel per conv.  Each conv frames its
+gradient with zeros once, and both its weight gradient and its input
+gradient read that copy.
 
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
@@ -37,10 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import UNIT, DomainError, ShapeError, Volume
-
-FULL_SCALE_LR = 1e-5
-FULL_SCALE_BATCH = 2
+from .grid import UNIT, BoundsError, Box, DomainError, ShapeError, Volume
 
 
 class CheckpointError(ValueError):
@@ -103,10 +110,6 @@ def init_params(config: NetConfig, seed: int) -> NetParams:
     return NetParams(config=config, tensors=tensors)
 
 
-def n_params(params: NetParams) -> int:
-    return sum(t.size for t in params.tensors.values())
-
-
 # ---------------------------------------------------------------------------
 # conv kernels
 
@@ -147,13 +150,17 @@ def _window(x: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _patches(xp: np.ndarray):
-    """Yield (output columns, (9*Ci, n+2) patch block) over the flat window xp, (Ci, Dp, Hp, Wp).
+    """Yield (output columns, (9*Ci, 8k) patch block) over the flat window xp, (Ci, Dp, Hp, Wp).
 
     The walk covers output columns [0, (Dp - 3)*Hp*Wp).  Row (dz*3 + dy)*Ci + ci
     holds channel ci from column q + dz*Hp*Wp + dy*Wp on, for the block's n
     output columns q and two halo columns, so tap dx is ``block[:, dx : dx + n]``.
-    The buffer is reused, so each block must be consumed before the next one
-    is drawn.
+    Every block is a multiple of 8 columns wide, the last one zero-filled up
+    to that: the BLAS kernel computes a ragged tail of columns with another
+    tile, which sums in another order, so without this a column's value would
+    depend on where its block ends, and a conv on a box would differ in the
+    last bit from the same conv on the whole grid.  The buffer is reused, so
+    each block must be consumed before the next one is drawn.
     """
     c_in, dp, hp, wp = xp.shape
     m = (dp - 3) * hp * wp
@@ -163,13 +170,15 @@ def _patches(xp: np.ndarray):
         xp, shape=(3, 3, c_in, m + 2), strides=(hp * wp * item, wp * item, xp.strides[0], item),
         writeable=False,
     )
-    nb = max(1, min(_BLOCK_BYTES // (9 * c_in * item) - 2, m))
-    buf = np.empty(9 * c_in * (nb + 2))
-    for q0 in range(0, m, nb):
-        n = min(nb, m - q0)
-        blk = buf[: 9 * c_in * (n + 2)].reshape(3, 3, c_in, n + 2)
-        blk[...] = taps[..., q0 : q0 + n + 2]
-        yield slice(q0, q0 + n), blk.reshape(9 * c_in, n + 2)
+    # widest block within budget, and no wider than the walk rounded up to 8 columns
+    width = max(8, min(_BLOCK_BYTES // (9 * c_in * item), m + 9) & ~7)
+    buf = np.empty(9 * c_in * width)
+    for q0 in range(0, m, width - 2):
+        n = min(width - 2, m - q0)
+        blk = buf[: 9 * c_in * ((n + 9) & ~7)].reshape(3, 3, c_in, -1)
+        blk[..., : n + 2] = taps[..., q0 : q0 + n + 2]
+        blk[..., n + 2 :] = 0.0
+        yield slice(q0, q0 + n), blk.reshape(9 * c_in, -1)
 
 
 def _conv3(xp: np.ndarray, w2: np.ndarray) -> np.ndarray:
@@ -188,15 +197,18 @@ def _conv3(xp: np.ndarray, w2: np.ndarray) -> np.ndarray:
         p = w2 @ blk
         out = yf[:, cols]
         np.add(p[:c_out, :n], p[c_out : 2 * c_out, 1 : n + 1], out=out)
-        out += p[2 * c_out :, 2:]
+        out += p[2 * c_out :, 2 : n + 2]
     return yp
 
 
-def _conv_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded 3x3x3 conv of (Ci, D, H, W) plus bias, before the ReLU."""
-    _, d, h, w_ = x.shape
-    yp = _conv3(_window(x, (0, 0, 0), (d, h, w_)), _w2(w))
-    return yp[:, :, :h, :w_] + b[:, None, None, None]
+def _conv_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
+    """Same-padded 3x3x3 conv of (Ci, D, H, W) plus bias, before the ReLU, on the box [lo, hi) of x.
+
+    x must hold the box's neighbours wherever the box does not touch a face of
+    x (see :func:`_window`).
+    """
+    yp = _conv3(_window(x, lo, hi), _w2(w))
+    return yp[:, :, : hi[1] - lo[1], : hi[2] - lo[2]] + b[:, None, None, None]
 
 
 def _conv3_weight_grad(xp: np.ndarray, gp: np.ndarray) -> np.ndarray:
@@ -286,23 +298,64 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # forward / backward
 
 
+def _demand(config: NetConfig, dims, lo: np.ndarray, hi: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
+    """The box [lo, hi) each layer must output for the head to cover [lo, hi) of the (D, H, W) grid.
+
+    Keyed by conv, plus ``dec{i}`` for the box of that level's upsample and
+    concatenation.  Walks ``layer_plan`` in reverse with the box rules of
+    :func:`backward`: a 3x3x3 conv needs its box grown by one voxel a side,
+    clipped to its level's grid; ``cat`` needs that box of the skip and of the
+    upsample, and ``up`` needs it aligned to even bounds and halved; a pool
+    needs twice its box joined with its skip's box, kept even so the pool
+    blocks stay aligned, and that is the box of the conv before it.
+    """
+    grid = np.array(dims)
+    boxes: dict[str, tuple[np.ndarray, ...]] = {}
+    skips: list[tuple[np.ndarray, np.ndarray]] = []
+    for layer, _, _ in reversed(config.layer_plan()):
+        if layer.startswith("enc"):  # the pool after it
+            s_lo, s_hi = skips.pop()
+            lo, hi = np.minimum(2 * lo, s_lo) & ~1, (np.maximum(2 * hi, s_hi) + 1) & ~1
+            grid = grid * 2
+        boxes[layer] = lo, hi
+        if layer != "head":
+            lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, grid)
+        if layer.endswith(".merge"):
+            boxes[layer.removesuffix(".merge")] = lo, hi
+            skips.append((lo, hi))
+            lo, hi, grid = lo >> 1, (hi + 1) >> 1, grid >> 1
+    return boxes
+
+
 @dataclass
 class Tape:
     """One forward pass, as the backward pass reads it.
 
-    ``records`` holds one ``(op, layer, saved)`` entry per layer in
-    execution order: ``conv`` saves its input and its ReLU mask, ``pool``
-    its winner indices, ``up`` nothing, ``cat`` the skip's channel count and
-    ``head`` its input.  ``out`` is the sigmoid output, (1, D, H, W).
+    ``records`` holds one ``(op, layer, lo, saved)`` entry per layer in
+    execution order, where ``lo`` is the grid origin of the layer's output
+    box: ``conv`` saves its input, that input's origin and its ReLU mask,
+    ``pool`` its winner indices, ``up`` nothing, ``cat`` the skip's channel
+    count and ``head`` its input.  ``out`` is the sigmoid output on the box
+    the forward was asked for, (1, D, H, W).
     """
 
     params: NetParams
     out: np.ndarray
-    records: list[tuple[str, str, object]]
+    records: list[tuple[str, str, np.ndarray, object]]
 
 
-def forward(params: NetParams, vol: Volume) -> tuple[Volume, Tape]:
-    """Run the net on one unit-domain volume; records a tape for backward."""
+def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Volume, Tape]:
+    """Run the net on one unit-domain volume and return its output on ``box``; records a tape for backward.
+
+    ``box`` defaults to the whole grid.  Each layer runs only on its box from
+    :func:`_demand`, the part of its grid that the output on ``box`` depends
+    on; for a loss scored on the defect crop that skips most of the decoder.
+    A conv reads its input's window of its box, whose one-voxel halo holds
+    real neighbours and zeros only at faces of the grid, and every conv GEMM
+    is a multiple of 8 columns wide (see :func:`_patches`), so the output,
+    and every gradient :func:`backward` takes from the tape, is byte-equal
+    to the same box of the whole-grid forward's.
+    """
     if vol.domain != UNIT:
         raise DomainError(f"network input must be unit-domain, got {vol.domain!r}")
     cfg = params.config
@@ -311,34 +364,44 @@ def forward(params: NetParams, vol: Volume) -> tuple[Volume, Tape]:
         raise ShapeError(
             f"dims {vol.dims} must be divisible by 2^depth = {step} for depth {cfg.depth}"
         )
+    if box is None:
+        box = Box((0, 0, 0), vol.dims)
+    elif not box.fits(vol.dims):
+        raise BoundsError(f"box {box.origin}+{box.size} exceeds dims {vol.dims}")
+    lo = np.array(box.origin[::-1])
+    boxes = _demand(cfg, vol.data.shape, lo, lo + box.size[::-1])
     t = params.tensors
-    records: list[tuple[str, str, object]] = []
+    records: list[tuple[str, str, np.ndarray, object]] = []
 
-    def conv(x: np.ndarray, layer: str) -> np.ndarray:
-        y, mask = _relu(_conv_layer(x, t[f"{layer}.w"], t[f"{layer}.b"]))
-        records.append(("conv", layer, (x, mask)))
-        return y
+    def conv(x: np.ndarray, x_lo: np.ndarray, layer: str) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = boxes[layer]
+        y, mask = _relu(_conv_layer(x, t[f"{layer}.w"], t[f"{layer}.b"], lo - x_lo, hi - x_lo))
+        records.append(("conv", layer, lo, (x, x_lo, mask)))
+        return y, lo
 
-    x = vol.data[None]
-    skips: list[np.ndarray] = []
+    # x always holds its layer's output on the box with origin o
+    x, o = vol.data[None], np.zeros(3, dtype=int)
+    skips: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(cfg.depth):
-        x = conv(x, f"enc{i}")
-        skips.append(x)
+        x, o = conv(x, o, f"enc{i}")
+        skips.append((x, o))
         x, idx = _maxpool2(x)
-        records.append(("pool", f"enc{i}", idx))
+        o = o >> 1
+        records.append(("pool", f"enc{i}", o, idx))
 
-    x = conv(x, "bott")
+    x, o = conv(x, o, "bott")
 
     for i in reversed(range(cfg.depth)):
-        x = conv(x, f"dec{i}.reduce")
-        x = _upsample2(x)
-        records.append(("up", f"dec{i}", None))
-        skip = skips.pop()
-        x = np.concatenate([skip, x], axis=0)
-        records.append(("cat", f"dec{i}", skip.shape[0]))
-        x = conv(x, f"dec{i}.merge")
+        x, o = conv(x, o, f"dec{i}.reduce")
+        lo, hi = boxes[f"dec{i}"]
+        x = _upsample2(x)[_at(lo - 2 * o, hi - 2 * o)]
+        records.append(("up", f"dec{i}", lo, None))
+        skip, s_lo = skips.pop()
+        x = np.concatenate([skip[_at(lo - s_lo, hi - s_lo)], x], axis=0)
+        records.append(("cat", f"dec{i}", lo, skip.shape[0]))
+        x, o = conv(x, lo, f"dec{i}.merge")
 
-    records.append(("head", "head", x))
+    records.append(("head", "head", o, x))
     c, d, h, w = x.shape
     logits = (t["head.w"] @ x.reshape(c, d * h * w) + t["head.b"][:, None]).reshape(1, d, h, w)
     out = _sigmoid(logits)
@@ -374,15 +437,17 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     Walks the tape once in reverse, carrying the gradient only on its
     support box, first the bounding box of the nonzeros of ``grad_out``
     (the crop for a defect-crop loss, the whole grid for a full-volume one).
-    A conv takes its weight gradient on the box from the input's window,
-    whose one-voxel halo holds real neighbours and zeros only at grid faces.
-    Its input gradient, on the box grown by one voxel a side and clipped to
-    the grid, convolves the same zero-framed copy of the gradient; zeros are
-    exact there, as the gradient vanishes outside its box.  ``up`` aligns
-    the box to even bounds and halves it; ``cat`` pushes the skip's gradient
-    with the same box, and the matching ``pool`` pops it and adds it to the
-    winners' gradient on the union of the two boxes.  ``grad_out`` must
-    match the output's dims; a tape can be walked repeatedly.
+    The walk's boxes stay inside the forward's, and saved arrays are indexed
+    through their records' origins.  A conv takes its weight gradient on the
+    box from the input's window, whose one-voxel halo holds real neighbours
+    and zeros only at grid faces.  Its input gradient, on the box grown by
+    one voxel a side and clipped to the grid, convolves the same zero-framed
+    copy of the gradient; zeros are exact there, as the gradient vanishes
+    outside its box.  ``up`` aligns the box to even bounds and halves it;
+    ``cat`` pushes the skip's gradient with the same box, and the matching
+    ``pool`` pops it and adds it to the winners' gradient on the union of
+    the two boxes.  ``grad_out`` must match the dims of the tape's output;
+    a tape can be walked repeatedly.
     """
     if grad_out.data.shape != tape.out.shape[1:]:
         raise ShapeError(
@@ -393,29 +458,33 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     lo, hi = _support(grad_out.data)
     out = tape.out[_at(lo, hi)]
     g = grad_out.data[None][_at(lo, hi)] * (out * (1.0 - out))
+    lo = lo + tape.records[-1][2]  # the head's box is the output's; grid coordinates from here on
     skip_grads: list[tuple[np.ndarray, np.ndarray]] = []
     first = tape.records[0]
 
     for record in reversed(tape.records):
-        op, layer, saved = record
+        op, layer, o, saved = record
         hi = lo + g.shape[1:]
         if op == "head":
             c = saved.shape[0]
             g2 = g.reshape(1, -1)
-            grads["head.w"] = g2 @ saved[_at(lo, hi)].reshape(c, -1).T
+            # a contiguous copy, so the GEMM sums in the same order whatever box saved covers
+            xs = np.ascontiguousarray(saved[_at(lo - o, hi - o)]).reshape(c, -1)
+            grads["head.w"] = g2 @ xs.T
             grads["head.b"] = g2.sum(axis=1)
             g = (t["head.w"].T @ g2).reshape(c, *g.shape[1:])
         elif op == "conv":
-            x, mask = saved
-            g = g * mask[_at(lo, hi)]
+            x, x_lo, mask = saved
+            g = g * mask[_at(lo - o, hi - o)]
             gp = _frame(g)
-            grads[f"{layer}.w"] = _conv3_weight_grad(_window(x, lo, hi), gp)
+            grads[f"{layer}.w"] = _conv3_weight_grad(_window(x, lo - x_lo, hi - x_lo), gp)
             grads[f"{layer}.b"] = g.sum(axis=(1, 2, 3))
             if record is not first:  # nothing reads the gradient of the net's input
                 # the input gradient lives on the box grown by one voxel a side; its
                 # part inside the grid is [s, e) of that, and the frame's planes
-                # s[0] .. e[0]+2 are all the walk needs for that z range
-                a, b = np.maximum(lo - 1, 0), np.minimum(hi + 1, x.shape[1:])
+                # s[0] .. e[0]+2 are all the walk needs for that z range.  x covers
+                # the grown box except where that leaves the grid.
+                a, b = np.maximum(lo - 1, 0), np.minimum(hi + 1, x_lo + x.shape[1:])
                 s, e = a - lo + 1, b - lo + 1
                 gx = _conv3(gp[:, s[0] : e[0] + 3], _w2_flipped(t[f"{layer}.w"]))
                 g, lo = gx[:, :, s[1] : e[1], s[2] : e[2]], a
@@ -427,7 +496,7 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
             g, lo = _upsample2_grad(_pad_to(g, lo, a, b)), a // 2
         else:  # pool
             skip, skip_lo = skip_grads.pop()
-            g, lo = _maxpool2_grad(g, saved[_at(lo, hi)]), 2 * lo
+            g, lo = _maxpool2_grad(g, saved[_at(lo - o, hi - o)]), 2 * lo
             a = np.minimum(lo, skip_lo)
             b = np.maximum(lo + g.shape[1:], skip_lo + skip.shape[1:])
             g, lo = _pad_to(g, lo, a, b), a
@@ -464,11 +533,6 @@ class OptState:
             raise DomainError(f"weight decay must be non-negative, got {self.weight_decay}")
         if self.batch_size < 1:
             raise DomainError(f"batch size must be at least 1, got {self.batch_size}")
-
-
-def full_scale_opt() -> OptState:
-    """The optimiser settings quoted for full-resolution runs."""
-    return OptState(lr=FULL_SCALE_LR, batch_size=FULL_SCALE_BATCH)
 
 
 def adam_step(params: NetParams, grads: dict[str, np.ndarray], opt: OptState) -> tuple[NetParams, OptState]:

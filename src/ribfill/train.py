@@ -3,7 +3,8 @@
 One optimiser step consumes ``batch_size`` cases round-robin, averages
 their parameter gradients, and applies one Adam update.  The loss is
 computed on the defect crop by default: the network sees the whole
-defective stencil but is scored only where bone was removed.  Scoring the
+defective stencil but is scored only where bone was removed, so each layer
+runs only on the part of its grid that the crop depends on.  Scoring the
 full grid instead is a switch away, for runs that should also punish
 stray mass far from the defect.
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defects import TrainingCase
-from .grid import UNBOUNDED, DomainError, Volume, binarize, crop
+from .grid import DomainError, binarize, crop
 from .losses import DEFECT_CROP, FULL_VOLUME, LossReport, loss_gradient, rib_loss
 from .metrics import MetricReport, metric_report
 from .net import NetConfig, NetParams, OptState, adam_step, backward, forward, init_params
@@ -52,20 +53,14 @@ def _monitored(report: LossReport, kind: str) -> float:
 def _case_pass(
     params: NetParams, case: TrainingCase, kind: str, region: str
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
-    out, tape = forward(params, case.defective)
     if region == DEFECT_CROP:
-        pred = crop(out, case.box)
+        pred, tape = forward(params, case.defective, case.box)
         truth = crop(case.implant, case.box)
     else:
-        pred = out
+        pred, tape = forward(params, case.defective)
         truth = case.implant
     report = rib_loss(pred, truth, region)
-    grad = loss_gradient(kind, pred, truth)
-    if region == DEFECT_CROP:
-        full = np.zeros(out.data.shape)
-        full[case.box.slices] = grad.data
-        grad = Volume(full, out.spacing, UNBOUNDED)
-    return report, backward(tape, grad)
+    return report, backward(tape, loss_gradient(kind, pred, truth))
 
 
 def train(
@@ -153,8 +148,7 @@ def evaluate(
     """
     out: list[MetricReport] = []
     for case in cases:
-        pred_vol = forward(params, case.defective)[0]
-        pred = binarize(crop(pred_vol, case.box), threshold)
+        pred = binarize(forward(params, case.defective, case.box)[0], threshold)
         truth = crop(case.implant, case.box)
         out.append(metric_report(pred, truth, percentile))
     return out

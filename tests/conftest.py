@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from ribfill.grid import UNBOUNDED, UNIT, Mask, Volume, crop
+from ribfill.grid import UNIT, Mask, Volume, crop
 
 
 def unit_volume(rng, dims, spacing=(1.0, 1.0, 1.0)):
@@ -23,17 +23,19 @@ def _relu_preacts(params, tape):
     from ribfill import net as netmod
 
     t = params.tensors
-    return {
-        k: netmod._conv_layer(saved[0], t[f"{layer}.w"], t[f"{layer}.b"])
-        for k, (op, layer, saved) in enumerate(tape.records)
-        if op == "conv"
-    }
+    preacts = {}
+    for k, (op, layer, lo, saved) in enumerate(tape.records):
+        if op == "conv":
+            x, x_lo, mask = saved
+            a = lo - x_lo
+            preacts[k] = netmod._conv_layer(x, t[f"{layer}.w"], t[f"{layer}.b"], a, a + mask.shape[1:])
+    return preacts
 
 
 def _pool_gaps(tape, preacts):
     """Top-two gap of every pooling window; a pool reads the conv recorded just before it."""
     gaps = []
-    for k, (op, _, _) in enumerate(tape.records):
+    for k, (op, *_) in enumerate(tape.records):
         if op != "pool":
             continue
         y = np.maximum(preacts[k - 1], 0.0)
@@ -80,21 +82,14 @@ def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, st
     can resolve in float64; those probes instead assert the numeric estimate is
     itself negligible, so a dropped term would still surface.  With ``box``
     the loss is scored on that crop only, as training's defect-crop region
-    does, and its gradient is zero outside the box.
+    does, and the net runs on that box's cone of each layer.
     """
     from ribfill.losses import loss_gradient, loss_value
     from ribfill.net import backward, forward
 
-    def scored(out):
-        return (crop(out, box), crop(g, box)) if box is not None else (out, g)
-
-    out, tape = forward(params, x)
-    grad = loss_gradient(kind, *scored(out))
-    if box is not None:
-        full = np.zeros(out.data.shape)
-        full[box.slices] = grad.data
-        grad = Volume(full, out.spacing, UNBOUNDED)
-    grads = backward(tape, grad)
+    target = crop(g, box) if box is not None else g
+    out, tape = forward(params, x, box)
+    grads = backward(tape, loss_gradient(kind, out, target))
     worst = 0.0
     for name, p in params.tensors.items():
         flat = p.reshape(-1)
@@ -102,9 +97,9 @@ def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, st
         for j in range(0, flat.size, stride):
             orig = flat[j]
             flat[j] = orig + h
-            fp = loss_value(kind, *scored(forward(params, x)[0]))
+            fp = loss_value(kind, forward(params, x, box)[0], target)
             flat[j] = orig - h
-            fm = loss_value(kind, *scored(forward(params, x)[0]))
+            fm = loss_value(kind, forward(params, x, box)[0], target)
             flat[j] = orig
             numeric = (fp - fm) / (2 * h)
             if abs(gflat[j]) < resolve_floor:

@@ -13,7 +13,7 @@ import pytest
 
 import ribfill.net as netmod
 from conftest import net_fd_worst, smooth_net_case, unit_volume
-from ribfill.grid import UNIT, Box, DomainError, ShapeError, Volume
+from ribfill.grid import UNIT, BoundsError, Box, DomainError, ShapeError, Volume
 from ribfill.losses import loss_gradient, loss_value
 from ribfill.net import (
     CheckpointError,
@@ -23,10 +23,8 @@ from ribfill.net import (
     adam_step,
     backward,
     forward,
-    full_scale_opt,
     init_params,
     load_checkpoint,
-    n_params,
     save_checkpoint,
 )
 
@@ -48,7 +46,7 @@ def test_config_validation_and_plan():
 
 def test_tiny_config_stays_small():
     params = init_params(NetConfig(depth=1, base_channels=1), seed=0)
-    assert n_params(params) <= 500
+    assert sum(t.size for t in params.tensors.values()) <= 500
 
 
 def test_init_is_seeded_and_fan_in_scaled():
@@ -95,6 +93,8 @@ def test_forward_rejects_bad_input():
     hu = Volume(np.zeros((8, 8, 8)), S, "HU")
     with pytest.raises(DomainError):
         forward(params, hu)
+    with pytest.raises(BoundsError):
+        forward(params, unit_volume(rng, (8, 8, 8)), Box((6, 0, 0), (4, 8, 8)))
 
 
 def test_backward_rejects_mismatched_gradient():
@@ -123,14 +123,14 @@ def test_maxpool_ties_route_to_first_in_scan_order():
     assert idx2.reshape(-1).tolist() == [6]  # dz=1, dy=1, dx=0
 
 
-# (Ci, Co, D, H, W) and the block budget.  At 2000 bytes the walk over a
+# (Ci, Co, D, H, W) and the block budget.  At 3500 bytes the walk over a
 # 3x4x7 grid (padded rows of Wp = 9 columns; 162 output columns for the
-# input's window, 270 for the framed gradient) takes blocks of 11 columns for
-# Ci = 2 and 7 for Ci = 3: several full blocks, a short tail, and block edges
-# in the middle of a row.
+# input's window, 270 for the framed gradient) takes blocks 24 columns wide
+# (22 output columns) for Ci = 2 and 16 wide (14) for Ci = 3: several full
+# blocks, a short tail, and block edges in the middle of a row.
 @pytest.mark.parametrize("shape, block_bytes", [
     ((3, 2, 4, 5, 6), None),
-    ((2, 3, 3, 4, 7), 2000),
+    ((2, 3, 3, 4, 7), 3500),
 ], ids=["one-block", "many-blocks"])
 def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
     c_in, c_out, d, h, w_ = shape
@@ -156,7 +156,8 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
     gp = netmod._frame(gy)
     y = netmod._conv3(xp, netmod._w2(w))[:, :, :h, :w_]
     assert np.allclose(y, ref, rtol=0, atol=1e-12)
-    assert np.allclose(netmod._conv_layer(x, w, b), ref + b[:, None, None, None], rtol=0, atol=1e-12)
+    y = netmod._conv_layer(x, w, b, (0, 0, 0), (d, h, w_))
+    assert np.allclose(y, ref + b[:, None, None, None], rtol=0, atol=1e-12)
     gw = netmod._conv3_weight_grad(xp, gp)
     assert np.allclose(gw, ref_gw, rtol=0, atol=1e-12)
     # the transposed conv fills the grid grown by one voxel a side, halo included
@@ -164,10 +165,12 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
     assert np.allclose(gx, ref_gxp, rtol=0, atol=1e-12)
     if block_bytes is not None:
         for win in (xp, gp):  # the forward/dW walk and the dX walk
-            blocks = [cols for cols, _ in netmod._patches(win)]
-            spans = [cols.stop - cols.start for cols in blocks]
+            blocks = [(cols, blk.shape[1]) for cols, blk in netmod._patches(win)]
+            spans = [cols.stop - cols.start for cols, _ in blocks]
             assert len(spans) > 2 and 0 < spans[-1] < spans[0]
-            assert any(cols.start % (w_ + 2) for cols in blocks)
+            assert any(cols.start % (w_ + 2) for cols, _ in blocks)
+            # every GEMM is a multiple of 8 columns wide, the short tail too
+            assert all(width % 8 == 0 and width >= span + 2 for (_, width), span in zip(blocks, spans))
 
 
 # the last case scores the loss on a crop touching the x = 0 face, so backward
@@ -188,13 +191,13 @@ def _dense_backward(tape, grad_out):
     grads = {}
     g = grad_out[None] * tape.out * (1.0 - tape.out)
     skips = []
-    for op, layer, saved in reversed(tape.records):
+    for op, layer, _, saved in reversed(tape.records):
         if op == "head":
             grads["head.w"] = np.einsum("vzyx,czyx->vc", g, saved)
             grads["head.b"] = g.sum(axis=(1, 2, 3))
             g = np.einsum("vc,vzyx->czyx", t["head.w"], g)
         elif op == "conv":
-            x, mask = saved
+            x, _, mask = saved
             w = t[f"{layer}.w"]
             g = g * mask
             _, d, h, w_ = x.shape
@@ -259,6 +262,51 @@ def test_backward_matches_dense_reference(depth, box):
     adam_step(params, grads, OptState())
 
 
+# At 10000 bytes each conv walks its window in several blocks, so a block
+# ends at a different voxel on the box than on the whole grid; at these sizes
+# the default budget walks every window in one block.
+@pytest.mark.parametrize("block_bytes", [None, 10000], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("box", [name for name, b in _BOXES.items() if b is not None])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_box_forward_matches_full_forward_bitwise(monkeypatch, depth, box, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(netmod, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(10 + depth)
+    params = init_params(NetConfig(depth=depth, base_channels=2), seed=depth)
+    vol = unit_volume(rng, (24, 8, 16))
+    lo, hi = (np.array(b) for b in _BOXES[box])
+    sl = tuple(slice(a, b) for a, b in zip(lo, hi))
+    full, full_tape = forward(params, vol)
+    out, tape = forward(params, vol, Box(tuple(lo[::-1]), tuple((hi - lo)[::-1])))
+    assert out.data.tobytes() == full.data[sl].tobytes()
+    g = rng.normal(size=out.data.shape)
+    g_full = np.zeros(full.data.shape)
+    g_full[sl] = g
+    grads = backward(tape, Volume(g, S))
+    ref = backward(full_tape, Volume(g_full, S))
+    for name in params.tensors:
+        assert grads[name].tobytes() == ref[name].tobytes(), name
+
+
+def test_desk_box_demand_cone():
+    """The box every layer runs on for a 16^3 defect at x, y, z = 46, 30, 16 of the 64x64x32 desk grid."""
+    lo = np.array((16, 30, 46))
+    boxes = netmod._demand(NetConfig(depth=2, base_channels=8), (32, 64, 64), lo, lo + 16)
+    got = {k: (a.tolist(), b.tolist()) for k, (a, b) in boxes.items()}
+    assert got == {  # (z, y, x) bounds [lo, hi)
+        "head": ([16, 30, 46], [32, 46, 62]),
+        "dec0.merge": ([16, 30, 46], [32, 46, 62]),
+        "dec0": ([15, 29, 45], [32, 47, 63]),
+        "dec0.reduce": ([7, 14, 22], [16, 24, 32]),
+        "dec1.merge": ([6, 13, 21], [16, 25, 32]),
+        "dec1": ([5, 12, 20], [16, 26, 32]),
+        "dec1.reduce": ([2, 6, 10], [8, 13, 16]),
+        "bott": ([1, 5, 9], [8, 14, 16]),
+        "enc1": ([0, 8, 16], [16, 30, 32]),
+        "enc0": ([0, 14, 30], [32, 62, 64]),
+    }
+
+
 def test_adam_worked_example():
     params = NetParams(config=NetConfig(), tensors={"p.w": np.array([1.0])})
     opt = OptState(lr=0.001, weight_decay=0.0)
@@ -290,13 +338,6 @@ def test_adam_validates_inputs():
         OptState(beta1=1.0)
     with pytest.raises(DomainError):
         OptState(batch_size=0)
-
-
-def test_full_scale_opt_quotes_reference_settings():
-    opt = full_scale_opt()
-    assert opt.lr == 1e-5
-    assert opt.batch_size == 2
-    assert opt.weight_decay == 1e-4
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ribfill.defects import DefectSpec, PipelineConfig, prepare_case
-from ribfill.grid import HU, DomainError, Volume
-from ribfill.losses import DEFECT_CROP, FULL_VOLUME
+from ribfill.grid import HU, DomainError, Volume, crop
+from ribfill.losses import DEFECT_CROP, FULL_VOLUME, loss_gradient, rib_loss
 from ribfill.metrics import EmptyMaskError
-from ribfill.net import NetConfig, OptState, init_params
+from ribfill.net import NetConfig, OptState, adam_step, backward, forward, init_params
 from ribfill.train import (
     TrainingDivergedError,
     eval_csv,
@@ -109,6 +109,28 @@ def test_resumed_run_equals_uninterrupted_run(n_cases, batch, k):
     assert train_log_csv(head.log + rest.log) == train_log_csv(whole.log)
     for name, t in whole.params.tensors.items():
         assert rest.params.tensors[name].tobytes() == t.tobytes()
+
+
+def test_train_equals_a_full_grid_redrive():
+    """train's box forward gives the log and parameters of whole-grid forward calls, byte for byte."""
+    data = np.full((16, 32, 32), -1000.0)
+    data[2:14, 4:28, 4:28] = 40.0
+    data[5:11, 8:24, 8:24] = 700.0
+    cfg = PipelineConfig(work_dims=(32, 32, 16), defect=DefectSpec(size=(4, 4, 4), band=(0.4, 0.6)))
+    case = prepare_case(Volume(data, (2.0, 2.0, 4.0), HU), cfg, seed=1)
+    net = NetConfig(depth=2, base_channels=2)
+    res = train([case], net, OptState(lr=1e-2), steps=3, seed=5)
+    params, opt, log = init_params(net, seed=5), OptState(lr=1e-2), []
+    for _ in range(3):
+        out, tape = forward(params, case.defective)
+        pred, truth = crop(out, case.box), crop(case.implant, case.box)
+        log.append(rib_loss(pred, truth, DEFECT_CROP))
+        g = np.zeros(out.data.shape)
+        g[case.box.slices] = loss_gradient("mse+err+gf", pred, truth).data
+        adam_step(params, backward(tape, Volume(g, out.spacing)), opt)
+    assert train_log_csv(res.log) == train_log_csv(log)
+    for name, t in params.tensors.items():
+        assert res.params.tensors[name].tobytes() == t.tobytes(), name
 
 
 def test_train_log_csv_round_trips():
