@@ -29,23 +29,15 @@ from .grid import (
     ShapeError,
     Volume,
     binarize,
-    count_nonzero,
     crop,
-    paste,
     trilinear_resize,
-    vol_mean,
-    vol_sum,
 )
 from .losses import (
     LOSS_KINDS,
     LossReport,
-    dice_loss,
-    err_loss,
     finite_diff_check,
-    gf_loss,
     loss_gradient,
     loss_value,
-    mse_loss,
     rib_loss,
 )
 from .manifest import CaseManifest, ManifestError, read_manifest, write_manifest
@@ -57,7 +49,6 @@ from .metrics import (
     directed_hausdorff,
     directed_hausdorff_sq,
     dsc,
-    edt,
     edt_sq,
     hausdorff,
     metric_report,
@@ -75,7 +66,7 @@ from .net import (
     save_checkpoint,
 )
 from .nifti import NiftiError, VolumeHeader, read_volume, write_volume
-from .phantom import GeometryError, PhantomSpec, generate_dataset, generate_phantom
+from .phantom import GeometryError, PhantomSpec, generate_phantom
 from .train import TrainingDivergedError, TrainResult, eval_csv, evaluate, train, train_log_csv
 
 __version__ = "0.1.0"

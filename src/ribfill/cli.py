@@ -36,8 +36,6 @@ from .nifti import read_volume, write_volume
 from .phantom import PhantomSpec, generate_phantom
 from .train import eval_csv, evaluate, train, train_log_csv
 
-_TRAIN_KINDS = ("dice", "mse", "mse+err", "mse+err+gf")
-
 
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
@@ -82,13 +80,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _case_id(path: Path) -> str:
-    stem = path.name
-    for suffix in (".nii",):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
-    if stem.endswith("_ct"):
-        stem = stem[: -len("_ct")]
-    return stem
+    return path.name.removesuffix(".nii").removesuffix("_ct")
 
 
 def _cmd_prep(args: argparse.Namespace) -> int:
@@ -240,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("manifests", nargs="+", help="case manifests from prep")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--loss", choices=_TRAIN_KINDS, default="mse+err+gf")
+    p.add_argument("--loss", choices=LOSS_KINDS, default="mse+err+gf")
     p.add_argument("--region", choices=("defect-crop", "full-volume"), default="defect-crop")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--base-channels", type=int, default=8)
@@ -260,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gradcheck", help="compare loss gradients with finite differences")
     _common(p)
-    p.add_argument("--kinds", nargs="+", choices=LOSS_KINDS, default=list(_TRAIN_KINDS))
+    p.add_argument("--kinds", nargs="+", choices=LOSS_KINDS, default=list(LOSS_KINDS))
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--dims", type=int, nargs=3, default=[8, 8, 8], metavar=("W", "H", "D"))
     p.add_argument("--h", type=float, default=1e-3)

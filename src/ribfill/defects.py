@@ -47,14 +47,11 @@ class EmptyImplantError(ValueError):
     """The defect box missed the bone stencil entirely."""
 
 
-def scaled_defect_size(
-    work_dims: tuple[int, int, int],
-    base_size: tuple[int, int, int] = FULL_SCALE_DEFECT,
-    base_dims: tuple[int, int, int] = FULL_SCALE_DIMS,
-) -> tuple[int, int, int]:
+def scaled_defect_size(work_dims: tuple[int, int, int]) -> tuple[int, int, int]:
     """Shrink the full-scale defect box proportionally to the working grid."""
     out = tuple(
-        max(1, int(round(base_size[i] * work_dims[i] / base_dims[i]))) for i in range(3)
+        max(1, int(round(FULL_SCALE_DEFECT[i] * work_dims[i] / FULL_SCALE_DIMS[i])))
+        for i in range(3)
     )
     for i in range(3):
         if out[i] > work_dims[i]:

@@ -13,7 +13,6 @@ and every operation returns a fresh instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -102,10 +101,6 @@ class Mask(Volume):
         if not ((a == 0.0) | (a == 1.0)).all():
             raise DomainError("mask values must be exactly 0 or 1")
 
-    @classmethod
-    def from_bool(cls, arr: np.ndarray, spacing: Sequence[float]) -> "Mask":
-        return cls(np.asarray(arr, dtype=bool).astype(np.float64), tuple(spacing))
-
 
 @dataclass(frozen=True)
 class Box:
@@ -134,11 +129,6 @@ class Box:
 
     def fits(self, dims: tuple[int, int, int]) -> bool:
         return all(self.origin[i] + self.size[i] <= dims[i] for i in range(3))
-
-    @property
-    def volume(self) -> int:
-        w, h, d = self.size
-        return w * h * d
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +198,7 @@ def trilinear_resize(v: Volume, dims: tuple[int, int, int]) -> Volume:
 
 
 # ---------------------------------------------------------------------------
-# crop / paste
+# cropping
 
 
 def crop(v: Volume, box: Box) -> Volume:
@@ -219,36 +209,3 @@ def crop(v: Volume, box: Box) -> Volume:
     if isinstance(v, Mask):
         return Mask(out, v.spacing)
     return Volume(out, v.spacing, v.domain)
-
-
-def paste(dst: Volume, src: Volume, origin: tuple[int, int, int]) -> Volume:
-    """Blend ``src`` into ``dst`` at ``origin`` by voxelwise max."""
-    box = Box(origin, src.dims)
-    if not box.fits(dst.dims):
-        raise BoundsError(f"paste of {src.dims} at {origin} exceeds dims {dst.dims}")
-    out = dst.data.copy()
-    region = out[box.slices]
-    np.maximum(region, src.data, out=region)
-    if isinstance(dst, Mask) and isinstance(src, Mask):
-        return Mask(out, dst.spacing)
-    dom = dst.domain if dst.domain == src.domain else UNBOUNDED
-    return Volume(out, dst.spacing, dom)
-
-
-# ---------------------------------------------------------------------------
-# reductions
-
-# np.sum over a fixed-layout float64 array uses one fixed (pairwise)
-# accumulation order, so these are bit-for-bit reproducible across runs.
-
-
-def vol_sum(v: Volume) -> float:
-    return float(np.sum(v.data, dtype=np.float64))
-
-
-def vol_mean(v: Volume) -> float:
-    return vol_sum(v) / v.data.size
-
-
-def count_nonzero(v: Volume) -> int:
-    return int(np.count_nonzero(v.data))

@@ -26,10 +26,10 @@ from .grid import UNBOUNDED, UNIT, DomainError, ShapeError, Volume
 
 DICE_EPS = 1e-6
 
-#: loss selectors accepted anywhere a ``kind`` argument appears
+#: the named loss kinds, which CLI ``train --loss`` offers and ``gradcheck`` checks;
+#: a ``kind`` argument takes any ``+``-join of the components in ``_BASE``
 LOSS_KINDS = ("dice", "mse", "err", "gf", "mse+err", "mse+err+gf")
 _BASE = ("dice", "mse", "err", "gf")
-_ALIASES = {"rib": "mse+err+gf"}
 
 DEFECT_CROP = "defect-crop"
 FULL_VOLUME = "full-volume"
@@ -47,9 +47,12 @@ class LossReport:
     n: int              # voxels the means ran over
     region: str = DEFECT_CROP
 
+    def total(self, kind: str) -> float:
+        """The loss of ``kind`` summed from this report's components, as :func:`loss_value` sums it."""
+        return sum(getattr(self, c) for c in _components(kind))
+
 
 def _components(kind: str) -> tuple[str, ...]:
-    kind = _ALIASES.get(kind, kind)
     parts = tuple(kind.split("+"))
     if not parts or any(p not in _BASE for p in parts):
         raise DomainError(f"unknown loss kind {kind!r}; valid: {LOSS_KINDS}")
@@ -109,33 +112,6 @@ def _grad_flat(comps: tuple[str, ...], p: np.ndarray, g: np.ndarray) -> np.ndarr
 
 
 # --- public, volume-level API
-
-
-def dice_loss(pred: Volume, truth: Volume) -> float:
-    """Soft Dice loss, 0 at perfect agreement, smoothed by ``DICE_EPS``."""
-    _check_pair(pred, truth)
-    return _value_flat(("dice",), pred.ravel(), truth.ravel())
-
-
-def mse_loss(pred: Volume, truth: Volume) -> float:
-    _check_pair(pred, truth)
-    return _value_flat(("mse",), pred.ravel(), truth.ravel())
-
-
-def err_loss(pred: Volume, truth: Volume) -> tuple[float, Volume]:
-    """Mean squared extra-region residual, plus the residual map itself."""
-    _check_pair(pred, truth)
-    residual = (1.0 - truth.data) * pred.data
-    value = float(np.mean(residual * residual, dtype=np.float64))
-    return value, Volume(residual, pred.spacing, UNIT)
-
-
-def gf_loss(pred: Volume, truth: Volume) -> tuple[float, Volume]:
-    """Mean squared gap-fill residual, plus the residual map itself."""
-    _check_pair(pred, truth)
-    residual = (1.0 - pred.data) * truth.data
-    value = float(np.mean(residual * residual, dtype=np.float64))
-    return value, Volume(residual, pred.spacing, UNIT)
 
 
 def rib_loss(pred: Volume, truth: Volume, region: str = DEFECT_CROP) -> LossReport:

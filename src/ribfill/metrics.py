@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mask, ShapeError, Volume
+from .grid import Mask, ShapeError
 
 _FAR = 1e30  # finite "no mask voxel here" sentinel; dwarfs any real distance
 _MINPLUS_BYTES = 32 << 20  # budget for one (rows, n, n) min-plus block of an EDT pass
@@ -90,11 +90,6 @@ def edt_sq(mask: Mask) -> np.ndarray:
     f = _edt_pass(f, 1, sy * sy)
     f = _edt_pass(f, 0, sz * sz)
     return np.ascontiguousarray(f)
-
-
-def edt(mask: Mask) -> Volume:
-    """Euclidean distance map in mm."""
-    return Volume(np.sqrt(edt_sq(mask)), mask.spacing)
 
 
 def brute_force_edt_sq(mask: Mask) -> np.ndarray:

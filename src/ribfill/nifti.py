@@ -44,8 +44,6 @@ class VolumeHeader:
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     datatype: str
-    endianness: str = "little"
-    data_offset: int = DATA_OFFSET
 
 
 def _pack_header(header: VolumeHeader) -> bytes:

@@ -16,7 +16,7 @@ rasterised right-side tubes, never by re-deriving mirrored coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,10 +171,3 @@ def generate_phantom(spec: PhantomSpec = PhantomSpec()) -> Volume:
     vol[:, torso_xy] = spec.hu_soft
     vol[_bone_stencil(spec)] = spec.hu_bone
     return Volume(vol, spec.spacing, HU)
-
-
-def generate_dataset(spec: PhantomSpec, n_cases: int, seed: int) -> list[Volume]:
-    """Phantoms with per-case seeds ``seed + i`` so any case can be re-made alone."""
-    if n_cases < 1:
-        raise GeometryError(f"need at least one case, got {n_cases}")
-    return [generate_phantom(replace(spec, seed=seed + i)) for i in range(n_cases)]

@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defects import TrainingCase
-from .grid import DomainError, binarize, crop
-from .losses import DEFECT_CROP, FULL_VOLUME, LossReport, loss_gradient, rib_loss
+from .grid import Box, DomainError, binarize, crop
+from .losses import DEFECT_CROP, FULL_VOLUME, LossReport, _components, loss_gradient, rib_loss
 from .metrics import MetricReport, metric_report
 from .net import NetConfig, NetParams, OptState, adam_step, backward, forward, init_params
 
 
 class TrainingDivergedError(RuntimeError):
-    """The monitored loss stopped being finite; training halts immediately."""
+    """The prediction or the monitored loss stopped being finite; training halts immediately."""
 
 
 @dataclass
@@ -40,25 +40,12 @@ class TrainResult:
     log: list[LossReport] = field(default_factory=list)
 
 
-def _monitored(report: LossReport, kind: str) -> float:
-    if kind == "dice":
-        return report.dice
-    if kind == "mse":
-        return report.mse
-    if kind == "mse+err":
-        return report.mse + report.err
-    return report.rib
-
-
 def _case_pass(
     params: NetParams, case: TrainingCase, kind: str, region: str
 ) -> tuple[LossReport, dict[str, np.ndarray]]:
-    if region == DEFECT_CROP:
-        pred, tape = forward(params, case.defective, case.box)
-        truth = crop(case.implant, case.box)
-    else:
-        pred, tape = forward(params, case.defective)
-        truth = case.implant
+    box = case.box if region == DEFECT_CROP else Box((0, 0, 0), case.defective.dims)
+    pred, tape = forward(params, case.defective, box)
+    truth = crop(case.implant, box)
     report = rib_loss(pred, truth, region)
     return report, backward(tape, loss_gradient(kind, pred, truth))
 
@@ -88,6 +75,7 @@ def train(
         raise DomainError(f"step count must be non-negative, got {steps}")
     if region not in (DEFECT_CROP, FULL_VOLUME):
         raise DomainError(f"unknown loss region {region!r}")
+    _components(loss_kind)  # a bad kind is a DomainError before any forward
     if params is None:
         params = init_params(config, seed)
     result = TrainResult(params=params, opt=opt)
@@ -96,8 +84,13 @@ def train(
         acc: dict[str, np.ndarray] | None = None
         reports: list[LossReport] = []
         for j in range(opt.batch_size):
-            case = cases[(opt.step * opt.batch_size + j) % len(cases)]
-            report, grads = _case_pass(params, case, loss_kind, region)
+            c = (opt.step * opt.batch_size + j) % len(cases)
+            try:
+                report, grads = _case_pass(params, cases[c], loss_kind, region)
+            except DomainError as exc:
+                # the cases, kind and region were checked already, so only a
+                # prediction or gradient that stopped being finite gets here
+                raise TrainingDivergedError(f"diverged at step {step}, case {c}: {exc}") from exc
             reports.append(report)
             if acc is None:
                 acc = grads
@@ -118,7 +111,7 @@ def train(
             n=reports[0].n,
             region=region,
         )
-        if not math.isfinite(_monitored(mean, loss_kind)):
+        if not math.isfinite(mean.total(loss_kind)):
             raise TrainingDivergedError(
                 f"non-finite {loss_kind} loss at step {step}: "
                 f"dice={mean.dice!r} mse={mean.mse!r} err={mean.err!r} gf={mean.gf!r}"

@@ -8,13 +8,9 @@ from ribfill.grid import UNIT, DomainError, Mask, ShapeError, Volume
 from ribfill.losses import (
     DICE_EPS,
     LOSS_KINDS,
-    dice_loss,
-    err_loss,
     finite_diff_check,
-    gf_loss,
     loss_gradient,
     loss_value,
-    mse_loss,
     rib_loss,
 )
 
@@ -28,12 +24,12 @@ def _pair(rng, dims=(8, 8, 8)):
 def test_perfect_prediction_scores_zero():
     rng = np.random.default_rng(0)
     v = unit_volume(rng, (6, 6, 6))
-    assert mse_loss(v, v) == 0.0
-    assert err_loss(v, v)[0] >= 0.0  # not zero in general: soft values overlap
+    assert loss_value("mse", v, v) == 0.0
+    assert loss_value("err", v, v) >= 0.0  # not zero in general: soft values overlap
     m = Mask((rng.uniform(size=(6, 6, 6)) < 0.5).astype(np.float64), S)
-    assert err_loss(m, m)[0] == 0.0
-    assert gf_loss(m, m)[0] == 0.0
-    assert dice_loss(m, m) < 1e-6
+    assert loss_value("err", m, m) == 0.0
+    assert loss_value("gf", m, m) == 0.0
+    assert loss_value("dice", m, m) < 1e-6
     report = rib_loss(m, m)
     assert report.rib == 0.0
     assert report.n == 216
@@ -63,15 +59,14 @@ def test_dice_worked_example():
     truth.reshape(-1)[:] = 1.0
     pred = np.zeros((2, 2, 2))
     pred.reshape(-1)[:4] = 1.0
-    val = dice_loss(Mask(pred, S), Mask(truth, S))
+    val = loss_value("dice", Mask(pred, S), Mask(truth, S))
     assert val == pytest.approx(1.0 - 8.0 / 12.0, abs=1e-6)
 
 
 def test_err_gf_duality():
     rng = np.random.default_rng(1)
     a, b = _pair(rng)
-    assert gf_loss(a, b)[0] == err_loss(b, a)[0]  # exact, same computation
-    assert loss_value("gf", a, b) == loss_value("err", b, a)
+    assert loss_value("gf", a, b) == loss_value("err", b, a)  # exact, same computation
 
 
 def test_all_masses_bounded_by_one():
@@ -81,19 +76,7 @@ def test_all_masses_bounded_by_one():
         for kind in ("mse", "err", "gf"):
             v = loss_value(kind, a, b)
             assert 0.0 <= v <= 1.0
-        assert 0.0 <= dice_loss(a, b) <= 1.0
-
-
-def test_residual_maps_localise_errors():
-    truth = np.zeros((3, 3, 3))
-    truth[1, 1, 1] = 1.0
-    pred = np.zeros((3, 3, 3))
-    pred[0, 0, 0] = 1.0
-    e_val, e_map = err_loss(Mask(pred, S), Mask(truth, S))
-    g_val, g_map = gf_loss(Mask(pred, S), Mask(truth, S))
-    assert e_map.data[0, 0, 0] == 1.0 and e_map.data.sum() == 1.0
-    assert g_map.data[1, 1, 1] == 1.0 and g_map.data.sum() == 1.0
-    assert e_val == g_val == pytest.approx(1 / 27)
+        assert 0.0 <= loss_value("dice", a, b) <= 1.0
 
 
 def test_kind_validation_and_shapes():
@@ -106,7 +89,17 @@ def test_kind_validation_and_shapes():
     hu = Volume(np.zeros((4, 4, 4)), S, "HU")
     with pytest.raises(DomainError):
         loss_value("mse", a, hu)
-    assert loss_value("rib", a, b) == loss_value("mse+err+gf", a, b)  # alias
+    with pytest.raises(DomainError):
+        loss_value("rib", a, b)  # a report field, not a kind
+
+
+def test_report_total_equals_loss_value_for_every_kind():
+    rng = np.random.default_rng(7)
+    pred, truth = _pair(rng, (6, 5, 4))
+    report = rib_loss(pred, truth)
+    for kind in LOSS_KINDS:
+        assert report.total(kind) == loss_value(kind, pred, truth), kind
+    assert report.total("mse+err+gf") == report.rib
 
 
 def test_gradient_shapes_and_descent_direction():
@@ -145,6 +138,6 @@ def test_finite_diff_rejects_bad_step():
 
 def test_dice_eps_keeps_empty_pair_finite():
     z = Mask(np.zeros((4, 4, 4)), S)
-    assert dice_loss(z, z) == 0.0  # eps/eps
+    assert loss_value("dice", z, z) == 0.0  # eps/eps
     assert np.isfinite(loss_gradient("dice", z, z).data).all()
     assert DICE_EPS == 1e-6

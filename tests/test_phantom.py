@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ribfill.grid import HU
-from ribfill.phantom import GeometryError, PhantomSpec, generate_dataset, generate_phantom
+from ribfill.phantom import GeometryError, PhantomSpec, generate_phantom
 
 SMALL = PhantomSpec(dims=(64, 64, 32), spacing=(6.0, 6.0, 12.0), rib_pairs=8, rib_radius=1.2)
 
@@ -59,18 +59,6 @@ def test_ribs_form_separate_bands():
     assert max(onsets) == spec.rib_pairs
 
 
-def test_dataset_seeds_are_per_case():
-    spec = PhantomSpec(dims=(64, 64, 32), spacing=(6.0, 6.0, 12.0), rib_pairs=6)
-    cases = generate_dataset(spec, 3, seed=100)
-    assert len(cases) == 3
-    assert not np.array_equal(cases[0].data, cases[1].data)
-    # case i equals a solo phantom with seed 100 + i
-    import dataclasses
-
-    solo = generate_phantom(dataclasses.replace(spec, seed=101))
-    assert np.array_equal(cases[1].data, solo.data)
-
-
 def test_too_small_grids_rejected():
     with pytest.raises(GeometryError):
         generate_phantom(PhantomSpec(dims=(10, 10, 32)))
@@ -80,5 +68,3 @@ def test_too_small_grids_rejected():
         generate_phantom(PhantomSpec(rib_radius=0.0))
     with pytest.raises(GeometryError):
         generate_phantom(PhantomSpec(rib_pairs=0))
-    with pytest.raises(GeometryError):
-        generate_dataset(PhantomSpec(), 0, seed=0)

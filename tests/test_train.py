@@ -67,6 +67,13 @@ def test_non_finite_loss_aborts(monkeypatch):
         train([case], CFG, OptState(), steps=5)
 
 
+def test_huge_learning_rate_raises_divergence():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        TrainingDivergedError, match=r"step \d+, case 0"
+    ):
+        train([tiny_case()], CFG, OptState(lr=1e300), steps=6)
+
+
 def test_train_argument_validation():
     case = tiny_case()
     with pytest.raises(DomainError, match="at least one"):
@@ -75,6 +82,8 @@ def test_train_argument_validation():
         train([case], CFG, OptState(), steps=-1)
     with pytest.raises(DomainError, match="region"):
         train([case], CFG, OptState(), steps=1, region="crop")
+    with pytest.raises(DomainError, match="loss kind"):
+        train([case], CFG, OptState(), steps=1, loss_kind="rib")
 
 
 def test_full_volume_region_scores_the_whole_grid():
