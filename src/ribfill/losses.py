@@ -26,10 +26,8 @@ from .grid import UNBOUNDED, UNIT, DomainError, ShapeError, Volume
 
 DICE_EPS = 1e-6
 
-#: the named loss kinds, which CLI ``train --loss`` offers and ``gradcheck`` checks;
-#: a ``kind`` argument takes any ``+``-join of the components in ``_BASE``
+#: every loss kind a ``kind`` argument takes, which CLI ``train --loss`` offers and ``gradcheck`` checks
 LOSS_KINDS = ("dice", "mse", "err", "gf", "mse+err", "mse+err+gf")
-_BASE = ("dice", "mse", "err", "gf")
 
 DEFECT_CROP = "defect-crop"
 FULL_VOLUME = "full-volume"
@@ -53,10 +51,9 @@ class LossReport:
 
 
 def _components(kind: str) -> tuple[str, ...]:
-    parts = tuple(kind.split("+"))
-    if not parts or any(p not in _BASE for p in parts):
+    if kind not in LOSS_KINDS:
         raise DomainError(f"unknown loss kind {kind!r}; valid: {LOSS_KINDS}")
-    return parts
+    return tuple(kind.split("+"))
 
 
 def _check_pair(pred: Volume, truth: Volume) -> None:

@@ -91,7 +91,7 @@ def write_manifest(path: str | Path, m: CaseManifest) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_manifest(path: str | Path, check_files: bool = True) -> CaseManifest:
+def read_manifest(path: str | Path) -> CaseManifest:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -142,9 +142,8 @@ def read_manifest(path: str | Path, check_files: bool = True) -> CaseManifest:
         hu_threshold=_floats(pairs["hu_threshold"], "hu_threshold", 1)[0],
         window=window,
     )
-    if check_files:
-        for key in _VOLUME_KEYS:
-            target = m.volume_path(key, path)
-            if not target.is_file():
-                raise ManifestError(f"{key}: referenced file {target} does not exist")
+    for key in _VOLUME_KEYS:
+        target = m.volume_path(key, path)
+        if not target.is_file():
+            raise ManifestError(f"{key}: referenced file {target} does not exist")
     return m

@@ -13,24 +13,25 @@ concatenates the encoder skip and merges with another conv.  The head is a
 1x1x1 conv squashed by a sigmoid, so outputs live strictly inside (0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
-(Ren et al., SBNet).  The forward is asked for its output on a box (the whole
-grid by default) and first walks the layers in reverse to find the box each
-layer must output for that, its demand box: the output box's cone, one voxel
-wider per conv, aligned and halved or doubled at each change of level.  Each
-layer then runs only on its box, so a loss scored on the defect crop skips
-most of the decoder.  Every conv GEMM is a multiple of 8 columns wide, so a
-voxel's value does not depend on where its block ends, and the output on a
-box is byte-equal to that box of the whole-grid output.
+(Ren et al., SBNet), and both take their boxes from one reverse walk of the
+layers, :func:`_demand`: given the box the head must cover, it finds the box
+each layer must output for that, the box's cone, one voxel wider per conv,
+aligned and halved or doubled at each change of level.  The forward is asked
+for its output on a box (the whole grid by default) and runs each layer only
+on its demand box, so a loss scored on the defect crop skips most of the
+decoder.  Every conv GEMM is a multiple of 8 columns wide, so a voxel's value
+does not depend on where its block ends, and the output on a box is
+byte-equal to that box of the whole-grid output.
 
 The forward appends one ``(op, layer, lo, saved)`` record per layer to a
 :class:`Tape`, in execution order, where ``lo`` is the origin of the
 layer's box; the backward pass is reverse-mode differentiation (Griewank &
 Walther, *Evaluating Derivatives*): one walk over those records from last to
-first.  The walk carries the gradient only on its support box, the bounding
-box of its nonzeros, so a loss scored on the defect crop costs a backward
-pass over the crop plus a halo of one voxel per conv.  Each conv frames its
-gradient with zeros once, and both its weight gradient and its input
-gradient read that copy.
+first.  It runs the same demand walk from the support box of the output
+gradient, the bounding box of its nonzeros, so a loss scored on the defect
+crop costs a backward pass over the crop plus a halo of one voxel per conv.
+Each conv frames its gradient with zeros once, and both its weight gradient
+and its input gradient read that copy.
 
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
@@ -286,45 +287,39 @@ def _upsample2_grad(gy: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, with one exp that never overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
 # forward / backward
 
 
-def _demand(config: NetConfig, dims, lo: np.ndarray, hi: np.ndarray) -> dict[str, tuple[np.ndarray, ...]]:
-    """The box [lo, hi) each layer must output for the head to cover [lo, hi) of the (D, H, W) grid.
+def _demand(config: NetConfig, dims, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The output box [lo, hi) of every tape record, in record order, for the head to cover [lo, hi).
 
-    Keyed by conv, plus ``dec{i}`` for the box of that level's upsample and
-    concatenation.  Walks ``layer_plan`` in reverse with the box rules of
-    :func:`backward`: a 3x3x3 conv needs its box grown by one voxel a side,
-    clipped to its level's grid; ``cat`` needs that box of the skip and of the
-    upsample, and ``up`` needs it aligned to even bounds and halved; a pool
-    needs twice its box joined with its skip's box, kept even so the pool
-    blocks stay aligned, and that is the box of the conv before it.
+    ``dims`` is the (D, H, W) grid.  Walks the records in reverse from the
+    head with three rules, used by both :func:`forward` and :func:`backward`:
+    a 3x3x3 conv needs its box grown by one voxel a side, clipped to its
+    level's grid; ``up`` needs it aligned to even bounds and halved; ``pool``
+    needs it doubled.  ``cat`` and ``head`` keep it.  The skip a ``cat``
+    reads needs no rule of its own: twice the matching pool's box always
+    holds it, since the cone through the coarser levels only widens.
     """
     grid = np.array(dims)
-    boxes: dict[str, tuple[np.ndarray, ...]] = {}
-    skips: list[tuple[np.ndarray, np.ndarray]] = []
+    boxes: list[tuple[np.ndarray, np.ndarray]] = []
     for layer, _, _ in reversed(config.layer_plan()):
         if layer.startswith("enc"):  # the pool after it
-            s_lo, s_hi = skips.pop()
-            lo, hi = np.minimum(2 * lo, s_lo) & ~1, (np.maximum(2 * hi, s_hi) + 1) & ~1
-            grid = grid * 2
-        boxes[layer] = lo, hi
+            boxes.append((lo, hi))
+            lo, hi, grid = 2 * lo, 2 * hi, 2 * grid
+        boxes.append((lo, hi))
         if layer != "head":
             lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, grid)
-        if layer.endswith(".merge"):
-            boxes[layer.removesuffix(".merge")] = lo, hi
-            skips.append((lo, hi))
+        if layer.endswith(".merge"):  # the cat and up before it
+            boxes += [(lo, hi), (lo, hi)]
             lo, hi, grid = lo >> 1, (hi + 1) >> 1, grid >> 1
-    return boxes
+    return boxes[::-1]
 
 
 @dataclass
@@ -333,9 +328,9 @@ class Tape:
 
     ``records`` holds one ``(op, layer, lo, saved)`` entry per layer in
     execution order, where ``lo`` is the grid origin of the layer's output
-    box: ``conv`` saves its input, that input's origin and its ReLU mask,
-    ``pool`` its winner indices, ``up`` nothing, ``cat`` the skip's channel
-    count and ``head`` its input.  ``out`` is the sigmoid output on the box
+    box, the record's box from :func:`_demand`: ``conv`` saves its input,
+    that input's origin and its ReLU mask, ``pool`` its winner indices,
+    ``up`` nothing, ``cat`` the skip's channel count and ``head`` its input.  ``out`` is the sigmoid output on the box
     the forward was asked for, (1, D, H, W).
     """
 
@@ -374,7 +369,7 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     records: list[tuple[str, str, np.ndarray, object]] = []
 
     def conv(x: np.ndarray, x_lo: np.ndarray, layer: str) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = boxes[layer]
+        lo, hi = boxes[len(records)]
         y, mask = _relu(_conv_layer(x, t[f"{layer}.w"], t[f"{layer}.b"], lo - x_lo, hi - x_lo))
         records.append(("conv", layer, lo, (x, x_lo, mask)))
         return y, lo
@@ -393,7 +388,7 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
 
     for i in reversed(range(cfg.depth)):
         x, o = conv(x, o, f"dec{i}.reduce")
-        lo, hi = boxes[f"dec{i}"]
+        lo, hi = boxes[len(records)]
         x = _upsample2(x)[_at(lo - 2 * o, hi - 2 * o)]
         records.append(("up", f"dec{i}", lo, None))
         skip, s_lo = skips.pop()
@@ -435,19 +430,18 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     """Parameter gradients given d(loss)/d(output); pairs with :func:`forward`.
 
     Walks the tape once in reverse, carrying the gradient only on its
-    support box, first the bounding box of the nonzeros of ``grad_out``
-    (the crop for a defect-crop loss, the whole grid for a full-volume one).
-    The walk's boxes stay inside the forward's, and saved arrays are indexed
-    through their records' origins.  A conv takes its weight gradient on the
-    box from the input's window, whose one-voxel halo holds real neighbours
-    and zeros only at grid faces.  Its input gradient, on the box grown by
-    one voxel a side and clipped to the grid, convolves the same zero-framed
-    copy of the gradient; zeros are exact there, as the gradient vanishes
-    outside its box.  ``up`` aligns the box to even bounds and halves it;
-    ``cat`` pushes the skip's gradient with the same box, and the matching
-    ``pool`` pops it and adds it to the winners' gradient on the union of
-    the two boxes.  ``grad_out`` must match the dims of the tape's output;
-    a tape can be walked repeatedly.
+    support: the bounding box of the nonzeros of ``grad_out`` (the crop for
+    a defect-crop loss, the whole grid for a full-volume one) is handed to
+    :func:`_demand`, and at record k the gradient lives on that walk's box k
+    and the record's input gradient goes on box k - 1.  Those boxes stay
+    inside the forward's, and saved arrays are indexed through their
+    records' origins.  A conv takes its weight gradient on its box from the
+    input's window, whose one-voxel halo holds real neighbours and zeros
+    only at grid faces; its input gradient convolves the same zero-framed
+    copy of the gradient, exact since the gradient vanishes outside its box.
+    ``cat`` pushes the skip's gradient and the matching ``pool`` adds it
+    into the winners' gradient.  ``grad_out`` must match the dims of the
+    tape's output; a tape can be walked repeatedly.
     """
     if grad_out.data.shape != tape.out.shape[1:]:
         raise ShapeError(
@@ -458,13 +452,14 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     lo, hi = _support(grad_out.data)
     out = tape.out[_at(lo, hi)]
     g = grad_out.data[None][_at(lo, hi)] * (out * (1.0 - out))
-    lo = lo + tape.records[-1][2]  # the head's box is the output's; grid coordinates from here on
+    o = tape.records[-1][2]  # the head's box is the output's
+    dims = tape.records[0][3][0].shape[1:]  # enc0's input is the whole volume
+    boxes = _demand(tape.params.config, dims, lo + o, hi + o)
     skip_grads: list[tuple[np.ndarray, np.ndarray]] = []
-    first = tape.records[0]
 
-    for record in reversed(tape.records):
-        op, layer, o, saved = record
-        hi = lo + g.shape[1:]
+    for k in reversed(range(len(tape.records))):
+        op, layer, o, saved = tape.records[k]
+        lo, hi = boxes[k]
         if op == "head":
             c = saved.shape[0]
             g2 = g.reshape(1, -1)
@@ -479,28 +474,24 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
             gp = _frame(g)
             grads[f"{layer}.w"] = _conv3_weight_grad(_window(x, lo - x_lo, hi - x_lo), gp)
             grads[f"{layer}.b"] = g.sum(axis=(1, 2, 3))
-            if record is not first:  # nothing reads the gradient of the net's input
-                # the input gradient lives on the box grown by one voxel a side; its
-                # part inside the grid is [s, e) of that, and the frame's planes
-                # s[0] .. e[0]+2 are all the walk needs for that z range.  x covers
-                # the grown box except where that leaves the grid.
-                a, b = np.maximum(lo - 1, 0), np.minimum(hi + 1, x_lo + x.shape[1:])
+            if k:  # nothing reads the gradient of the net's input
+                # the input box is this box grown by one voxel a side, as far as
+                # the grid goes: [s, e) of the frame's grown box, whose planes
+                # s[0] .. e[0]+2 are all the walk needs for that z range
+                a, b = boxes[k - 1]
                 s, e = a - lo + 1, b - lo + 1
                 gx = _conv3(gp[:, s[0] : e[0] + 3], _w2_flipped(t[f"{layer}.w"]))
-                g, lo = gx[:, :, s[1] : e[1], s[2] : e[2]], a
+                g = gx[:, :, s[1] : e[1], s[2] : e[2]]
         elif op == "cat":
             skip_grads.append((g[:saved], lo))
             g = g[saved:]
         elif op == "up":
-            a, b = lo & ~1, (hi + 1) & ~1
-            g, lo = _upsample2_grad(_pad_to(g, lo, a, b)), a // 2
+            a, b = boxes[k - 1]
+            g = _upsample2_grad(_pad_to(g, lo, 2 * a, 2 * b))
         else:  # pool
             skip, skip_lo = skip_grads.pop()
-            g, lo = _maxpool2_grad(g, saved[_at(lo - o, hi - o)]), 2 * lo
-            a = np.minimum(lo, skip_lo)
-            b = np.maximum(lo + g.shape[1:], skip_lo + skip.shape[1:])
-            g, lo = _pad_to(g, lo, a, b), a
-            g[_at(skip_lo - a, skip_lo - a + skip.shape[1:])] += skip
+            g = _maxpool2_grad(g, saved[_at(lo - o, hi - o)])
+            g[_at(skip_lo - 2 * lo, skip_lo - 2 * lo + skip.shape[1:])] += skip
 
     return grads
 

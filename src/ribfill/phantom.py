@@ -55,10 +55,11 @@ def _validate(spec: PhantomSpec) -> tuple[float, float]:
     w, h, d = spec.dims
     if spec.rib_pairs < 1:
         raise GeometryError(f"need at least one rib pair, got {spec.rib_pairs}")
-    if spec.rib_radius <= 0.0:
+    # written as "not (valid)" so that NaN, which fails every comparison, is rejected
+    if not spec.rib_radius > 0.0:
         raise GeometryError(f"rib radius must be positive, got {spec.rib_radius}")
-    if spec.jitter < 0.0:
-        raise GeometryError(f"jitter must be non-negative, got {spec.jitter}")
+    if not 0.0 <= spec.jitter < math.inf:
+        raise GeometryError(f"jitter must be non-negative and finite, got {spec.jitter}")
     a = _TORSO_FRAC[0] * w
     b = _TORSO_FRAC[1] * h
     r = spec.rib_radius

@@ -98,9 +98,8 @@ def train(
                 for name in acc:
                     acc[name] += grads[name]
         assert acc is not None
-        if opt.batch_size > 1:
-            for name in acc:
-                acc[name] /= opt.batch_size
+        for name in acc:
+            acc[name] /= opt.batch_size
         k = len(reports)
         mean = LossReport(
             dice=sum(r.dice for r in reports) / k,

@@ -91,6 +91,9 @@ def test_kind_validation_and_shapes():
         loss_value("mse", a, hu)
     with pytest.raises(DomainError):
         loss_value("rib", a, b)  # a report field, not a kind
+    for kind in ("gf+gf", "err+mse"):  # joins of components that are not listed kinds
+        with pytest.raises(DomainError):
+            loss_value(kind, a, b)
 
 
 def test_report_total_equals_loss_value_for_every_kind():

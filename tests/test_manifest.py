@@ -60,7 +60,7 @@ def test_unknown_key_rejected(tmp_path):
     write_manifest(path, _manifest())
     path.write_text(path.read_text() + "grid_units = parsecs\n")
     with pytest.raises(ManifestError, match="grid_units"):
-        read_manifest(path, check_files=False)
+        read_manifest(path)
 
 
 def test_missing_key_rejected(tmp_path):
@@ -69,7 +69,7 @@ def test_missing_key_rejected(tmp_path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("seed")]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ManifestError, match="seed"):
-        read_manifest(path, check_files=False)
+        read_manifest(path)
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -77,7 +77,7 @@ def test_duplicate_key_rejected(tmp_path):
     write_manifest(path, _manifest())
     path.write_text(path.read_text() + "seed = 9\n")
     with pytest.raises(ManifestError, match="duplicate"):
-        read_manifest(path, check_files=False)
+        read_manifest(path)
 
 
 def test_missing_volume_file_rejected(tmp_path):
@@ -96,15 +96,15 @@ def test_box_must_fit_dims(tmp_path):
     text = path.read_text().replace("box_origin = 12 20 16", "box_origin = 60 20 16")
     path.write_text(text)
     with pytest.raises(ManifestError, match="box"):
-        read_manifest(path, check_files=False)
+        read_manifest(path)
 
 
 def test_malformed_lines_rejected(tmp_path):
     path = tmp_path / "m.manifest"
     path.write_text("case_id case007\n")
     with pytest.raises(ManifestError, match="key = value"):
-        read_manifest(path, check_files=False)
+        read_manifest(path)
     write_manifest(path, _manifest())
     path.write_text(path.read_text().replace("dims = 64 64 32", "dims = 64 64"))
     with pytest.raises(ManifestError, match="dims"):
-        read_manifest(path, check_files=False)
+        read_manifest(path)

@@ -288,23 +288,85 @@ def test_box_forward_matches_full_forward_bitwise(monkeypatch, depth, box, block
         assert grads[name].tobytes() == ref[name].tobytes(), name
 
 
+def _record_ops(depth):
+    """(op, layer) of every tape record at this depth, in record order."""
+    params = init_params(NetConfig(depth=depth, base_channels=1), seed=0)
+    _, tape = forward(params, Volume(np.zeros((1 << depth,) * 3), S, UNIT))
+    return [(op, layer) for op, layer, _, _ in tape.records]
+
+
 def test_desk_box_demand_cone():
-    """The box every layer runs on for a 16^3 defect at x, y, z = 46, 30, 16 of the 64x64x32 desk grid."""
+    """The box every record outputs for a 16^3 defect at x, y, z = 46, 30, 16 of the 64x64x32 desk grid."""
     lo = np.array((16, 30, 46))
-    boxes = netmod._demand(NetConfig(depth=2, base_channels=8), (32, 64, 64), lo, lo + 16)
-    got = {k: (a.tolist(), b.tolist()) for k, (a, b) in boxes.items()}
-    assert got == {  # (z, y, x) bounds [lo, hi)
-        "head": ([16, 30, 46], [32, 46, 62]),
-        "dec0.merge": ([16, 30, 46], [32, 46, 62]),
-        "dec0": ([15, 29, 45], [32, 47, 63]),
-        "dec0.reduce": ([7, 14, 22], [16, 24, 32]),
-        "dec1.merge": ([6, 13, 21], [16, 25, 32]),
-        "dec1": ([5, 12, 20], [16, 26, 32]),
-        "dec1.reduce": ([2, 6, 10], [8, 13, 16]),
-        "bott": ([1, 5, 9], [8, 14, 16]),
-        "enc1": ([0, 8, 16], [16, 30, 32]),
-        "enc0": ([0, 14, 30], [32, 62, 64]),
-    }
+    cfg = NetConfig(depth=2, base_channels=1)
+    boxes = netmod._demand(cfg, (32, 64, 64), lo, lo + 16)
+    got = [(op, layer, a.tolist(), b.tolist()) for (op, layer), (a, b) in zip(_record_ops(2), boxes)]
+    assert got == [  # (z, y, x) bounds [lo, hi)
+        ("conv", "enc0", [0, 14, 30], [32, 62, 64]),
+        ("pool", "enc0", [0, 7, 15], [16, 31, 32]),
+        ("conv", "enc1", [0, 8, 16], [16, 30, 32]),
+        ("pool", "enc1", [0, 4, 8], [8, 15, 16]),
+        ("conv", "bott", [1, 5, 9], [8, 14, 16]),
+        ("conv", "dec1.reduce", [2, 6, 10], [8, 13, 16]),
+        ("up", "dec1", [5, 12, 20], [16, 26, 32]),
+        ("cat", "dec1", [5, 12, 20], [16, 26, 32]),
+        ("conv", "dec1.merge", [6, 13, 21], [16, 25, 32]),
+        ("conv", "dec0.reduce", [7, 14, 22], [16, 24, 32]),
+        ("up", "dec0", [15, 29, 45], [32, 47, 63]),
+        ("cat", "dec0", [15, 29, 45], [32, 47, 63]),
+        ("conv", "dec0.merge", [16, 30, 46], [32, 46, 62]),
+        ("head", "head", [16, 30, 46], [32, 46, 62]),
+    ]
+    # the forward runs each record on exactly that box
+    params = init_params(cfg, seed=0)
+    _, tape = forward(params, Volume(np.zeros((32, 64, 64)), S, UNIT), Box((46, 30, 16), (16, 16, 16)))
+    assert [rec[2].tolist() for rec in tape.records] == [a.tolist() for a, _ in boxes]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_pool_box_holds_its_skip(depth):
+    """Twice a pool's demand box holds the box its skip is read on, and is its conv's box.
+
+    This is why :func:`netmod._demand` needs no rule for the skip: the cone
+    through the coarser levels is always the wider one.
+    """
+    rng = np.random.default_rng(40 + depth)
+    ops = _record_ops(depth)
+    step = 1 << depth
+    for _ in range(200):
+        dims = rng.integers(1, 9, size=3) * step
+        lo = np.array([rng.integers(0, n) for n in dims])
+        hi = np.array([rng.integers(a + 1, n + 1) for a, n in zip(lo, dims)])
+        boxes = netmod._demand(NetConfig(depth=depth), tuple(dims), lo, hi)
+        pools: list[int] = []
+        for k, (op, _) in enumerate(ops):
+            if op == "pool":
+                pools.append(k)
+            elif op == "cat":
+                p = pools.pop()
+                (p_lo, p_hi), (s_lo, s_hi), (c_lo, c_hi) = boxes[p], boxes[k], boxes[p - 1]
+                assert np.all(2 * p_lo <= s_lo) and np.all(s_hi <= 2 * p_hi), (dims, lo, hi, k)
+                assert np.array_equal(c_lo, 2 * p_lo) and np.array_equal(c_hi, 2 * p_hi)
+        assert not pools
+
+
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_form_bitwise():
+    rng = np.random.default_rng(12)
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 36.7, -36.7, 709.8, -709.8])
+    x = np.concatenate([edges, rng.normal(scale=40.0, size=20000), rng.uniform(-1e-3, 1e-3, 2000)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is expected
+        got = netmod._sigmoid(x)
+        ref = _two_branch_sigmoid(x)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_adam_worked_example():

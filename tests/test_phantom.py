@@ -1,5 +1,7 @@
 """Phantom geometry: HU levels, symmetry, determinism, validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,3 +70,7 @@ def test_too_small_grids_rejected():
         generate_phantom(PhantomSpec(rib_radius=0.0))
     with pytest.raises(GeometryError):
         generate_phantom(PhantomSpec(rib_pairs=0))
+    # NaN fails every comparison, and an infinite jitter would clamp the geometry
+    for bad in ({"rib_radius": math.nan}, {"jitter": math.nan}, {"jitter": math.inf}):
+        with pytest.raises(GeometryError):
+            generate_phantom(PhantomSpec(**bad))

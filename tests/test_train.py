@@ -84,6 +84,8 @@ def test_train_argument_validation():
         train([case], CFG, OptState(), steps=1, region="crop")
     with pytest.raises(DomainError, match="loss kind"):
         train([case], CFG, OptState(), steps=1, loss_kind="rib")
+    with pytest.raises(DomainError, match="loss kind"):
+        train([case], CFG, OptState(), steps=1, loss_kind="err+err+dice")
 
 
 def test_full_volume_region_scores_the_whole_grid():
