@@ -5,12 +5,19 @@ padding, one GEMM per cache-sized column block of a flat zero-framed window
 of the input with the three x taps folded into the kernel's rows; weight
 gradients walk the same blocks, and input gradients convolve the upstream
 gradient with the offset-flipped, in/out-swapped kernel, so no scatter
-operation ever appears.  Downsampling is 2x2x2 max pooling (ties go to the first
-maximal voxel in canonical x-fastest scan order), upsampling is
-nearest-neighbour doubling.  Each decoder level halves the channel count
-with a conv while still at the coarse resolution, doubles the grid, then
-concatenates the encoder skip and merges with another conv.  The head is a
-1x1x1 conv squashed by a sigmoid, so outputs live strictly inside (0, 1).
+operation ever appears.  Each conv adds its bias into one compact copy of
+its output and clamps that copy in place for the ReLU.  Downsampling is
+2x2x2 max pooling (ties go to the first maximal voxel in canonical x-fastest
+scan order), upsampling is nearest-neighbour doubling.  Each decoder level
+halves the channel count with a conv while still at the coarse resolution,
+then merges the encoder skip and the doubled grid with another conv.  That
+merge input is built directly in the merge conv's zero-framed window, the
+way memory-efficient DenseNets share one buffer for their concatenations
+(Pleiss et al., 2017): the skip is copied into the first channels, and the
+coarse output is written into the rest by eight strided copies, one per
+parity class of voxels, so no upsampled or concatenated array exists.  The
+head is a 1x1x1 conv squashed in place by a sigmoid, so outputs live
+strictly inside (0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
 (Ren et al., SBNet), and both take their boxes from one reverse walk of the
@@ -40,6 +47,7 @@ formulation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -202,14 +210,16 @@ def _conv3(xp: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return yp
 
 
-def _conv_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, lo, hi) -> np.ndarray:
-    """Same-padded 3x3x3 conv of (Ci, D, H, W) plus bias, before the ReLU, on the box [lo, hi) of x.
+def _conv_layer(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padded 3x3x3 conv plus bias, before the ReLU, of the box that the window xp frames.
 
-    x must hold the box's neighbours wherever the box does not touch a face of
-    x (see :func:`_window`).
+    xp is laid out as :func:`_window` lays it out, (Ci, D+3, H+2, W+2): built
+    by :func:`_window`, or for a ``.merge`` conv filled in place by
+    :func:`forward`.  The bias add makes the compact (Co, D, H, W) result.
     """
-    yp = _conv3(_window(x, lo, hi), _w2(w))
-    return yp[:, :, : hi[1] - lo[1], : hi[2] - lo[2]] + b[:, None, None, None]
+    _, _, hp, wp = xp.shape
+    yp = _conv3(xp, _w2(w))
+    return yp[:, :, : hp - 2, : wp - 2] + b[:, None, None, None]
 
 
 def _conv3_weight_grad(xp: np.ndarray, gp: np.ndarray) -> np.ndarray:
@@ -248,25 +258,27 @@ def _frame(g: np.ndarray) -> np.ndarray:
 # the remaining layer kernels
 
 
-def _relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.maximum(x, 0.0), x > 0.0
-
-
 def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2x2x2 max pool; returns pooled values and winner indices 0..7.
 
-    The winner index encodes the in-block offset as dz*4 + dy*2 + dx, so
-    argmax's first-hit rule resolves ties toward the earliest voxel in
-    canonical x-fastest scan order.
+    The winner index encodes the in-block offset as dz*4 + dy*2 + dx.  Three
+    pairwise passes, over x, then y, then z, each keep the earlier voxel
+    unless the later one is strictly greater or the earlier one is NaN, and
+    take the kept voxel's value.  So the winner is argmax's: the first
+    maximal voxel in canonical x-fastest scan order, NaN counting as the
+    largest value, and the value is that voxel's, the sign of a zero and a
+    NaN included.
     """
-    c, d, h, w = x.shape
-    xr = x.reshape(c, d // 2, 2, h // 2, 2, w // 2, 2)
-    cand = np.ascontiguousarray(xr.transpose(0, 1, 3, 5, 2, 4, 6)).reshape(
-        c, d // 2, h // 2, w // 2, 8
-    )
-    idx = cand.argmax(axis=-1)
-    y = np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
-    return y, idx.astype(np.uint8)
+    idx = None
+    for axis, bit in ((3, 1), (2, 2), (1, 4)):
+        even = (slice(None),) * axis + (slice(0, None, 2),)
+        odd = (slice(None),) * axis + (slice(1, None, 2),)
+        a, b = x[even], x[odd]
+        keep = a >= b
+        keep |= a != a
+        x = np.where(keep, a, b)
+        idx = (~keep).view(np.uint8) if idx is None else np.where(keep, idx[even], idx[odd] | bit)
+    return x, idx
 
 
 def _maxpool2_grad(gy: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -277,19 +289,25 @@ def _maxpool2_grad(gy: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(gx).reshape(c, d2 * 2, h2 * 2, w2 * 2)
 
 
-def _upsample2(x: np.ndarray) -> np.ndarray:
-    return x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
-
-
 def _upsample2_grad(gy: np.ndarray) -> np.ndarray:
     c, d, h, w = gy.shape
     return gy.reshape(c, d // 2, 2, h // 2, 2, w // 2, 2).sum(axis=(2, 4, 6))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, with one exp that never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, with one exp that never overflows.
+
+    ``out`` may be x itself; the only full-size temporary is e^-|x|.
+    """
+    pos = x >= 0.0
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    if out is None:
+        out = np.empty_like(x)
+    np.copyto(out, e)
+    np.copyto(out, 1.0, where=pos)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +348,11 @@ class Tape:
     execution order, where ``lo`` is the grid origin of the layer's output
     box, the record's box from :func:`_demand`: ``conv`` saves its input,
     that input's origin and its ReLU mask, ``pool`` its winner indices,
-    ``up`` nothing, ``cat`` the skip's channel count and ``head`` its input.  ``out`` is the sigmoid output on the box
-    the forward was asked for, (1, D, H, W).
+    ``up`` nothing, ``cat`` the skip's channel count and ``head`` its input.
+    A ``.merge`` conv's input is the view of its window that covers the
+    ``cat`` box, with that box's origin, so its frame is not copied again.
+    ``out`` is the sigmoid output on the box the forward was asked for,
+    (1, D, H, W).
     """
 
     params: NetParams
@@ -349,7 +370,10 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     real neighbours and zeros only at faces of the grid, and every conv GEMM
     is a multiple of 8 columns wide (see :func:`_patches`), so the output,
     and every gradient :func:`backward` takes from the tape, is byte-equal
-    to the same box of the whole-grid forward's.
+    to the same box of the whole-grid forward's.  A ``.merge`` conv's window
+    is filled in place from the skip and the coarse ``.reduce`` output (see
+    the module docstring), and the skip is released before that conv runs,
+    so during it the skip's data exists only in the window.
     """
     if vol.domain != UNIT:
         raise DomainError(f"network input must be unit-domain, got {vol.domain!r}")
@@ -368,11 +392,16 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     t = params.tensors
     records: list[tuple[str, str, np.ndarray, object]] = []
 
-    def conv(x: np.ndarray, x_lo: np.ndarray, layer: str) -> tuple[np.ndarray, np.ndarray]:
+    def conv(
+        x: np.ndarray, x_lo: np.ndarray, layer: str, xp: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = boxes[len(records)]
-        y, mask = _relu(_conv_layer(x, t[f"{layer}.w"], t[f"{layer}.b"], lo - x_lo, hi - x_lo))
+        if xp is None:  # all but a merge, whose window is built in place
+            xp = _window(x, lo - x_lo, hi - x_lo)
+        y = _conv_layer(xp, t[f"{layer}.w"], t[f"{layer}.b"])
+        mask = y > 0.0
         records.append(("conv", layer, lo, (x, x_lo, mask)))
-        return y, lo
+        return np.maximum(y, 0.0, out=y), lo
 
     # x always holds its layer's output on the box with origin o
     x, o = vol.data[None], np.zeros(3, dtype=int)
@@ -388,18 +417,32 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
 
     for i in reversed(range(cfg.depth)):
         x, o = conv(x, o, f"dec{i}.reduce")
-        lo, hi = boxes[len(records)]
-        x = _upsample2(x)[_at(lo - 2 * o, hi - 2 * o)]
-        records.append(("up", f"dec{i}", lo, None))
+        lo, hi = boxes[len(records)]  # up and cat
+        m_lo, m_hi = boxes[len(records) + 2]  # merge
         skip, s_lo = skips.pop()
-        x = np.concatenate([skip[_at(lo - s_lo, hi - s_lo)], x], axis=0)
-        records.append(("cat", f"dec{i}", lo, skip.shape[0]))
-        x, o = conv(x, lo, f"dec{i}.merge")
+        cs = skip.shape[0]
+        # the merge's window, built in place: the cat box is the merge box
+        # grown by one voxel a side as far as the grid goes, and the frame
+        # beyond it stays zero
+        xp = np.zeros((cs + x.shape[0], *(m_hi - m_lo + (3, 2, 2))))
+        cat = xp[_at(lo - m_lo + 1, hi - m_lo + 1)]
+        cat[:cs] = skip[_at(lo - s_lo, hi - s_lo)]
+        # nearest-neighbour doubling, one parity class per axis at a time:
+        # voxel lo + j reads coarse voxel ((lo + r) >> 1) - o + j // 2, r = j % 2
+        for r in itertools.product((0, 1), repeat=3):
+            src = ((lo + r) >> 1) - o
+            n = (hi - lo - r + 1) >> 1
+            cat[(slice(cs, None), *(slice(q, None, 2) for q in r))] = x[_at(src, src + n)]
+        records.append(("up", f"dec{i}", lo, None))
+        records.append(("cat", f"dec{i}", lo, cs))
+        del skip, x
+        x, o = conv(cat, lo, f"dec{i}.merge", xp)
 
     records.append(("head", "head", o, x))
     c, d, h, w = x.shape
-    logits = (t["head.w"] @ x.reshape(c, d * h * w) + t["head.b"][:, None]).reshape(1, d, h, w)
-    out = _sigmoid(logits)
+    out = t["head.w"] @ x.reshape(c, d * h * w)
+    out += t["head.b"][:, None]
+    out = _sigmoid(out, out=out).reshape(1, d, h, w)
     return Volume(out[0], vol.spacing, UNIT), Tape(params, out, records)
 
 

@@ -7,9 +7,9 @@ uint8 for masks and other unit-domain data (quantised to 0..255).  dim[0]
 is always 3 and the magic is ``n+1\\0`` even though header and payload
 share the file.
 
-Anything else (big-endian files, other datatypes, 4-D data, nonzero
-scl_slope tricks) is out of scope and rejected loudly rather than half
-supported.
+Anything else (big-endian files, other datatypes, 4-D data, intensity
+scaling through an scl_slope other than 0 or 1 or a nonzero scl_inter) is
+out of scope and rejected loudly rather than half supported.
 """
 
 from __future__ import annotations
@@ -92,6 +92,12 @@ def _unpack_header(raw: bytes) -> VolumeHeader:
     vox_offset = struct.unpack_from("<f", raw, 108)[0]
     if vox_offset != float(DATA_OFFSET):
         raise NiftiError("vox_offset", f"expected {DATA_OFFSET}, got {vox_offset}")
+    slope = struct.unpack_from("<f", raw, 112)[0]
+    if slope not in (0.0, 1.0):  # 0 means "no scaling" in NIfTI-1; NaN fails too
+        raise NiftiError("scl_slope", f"scaled data is unsupported: slope must be 0 or 1, got {slope}")
+    inter = struct.unpack_from("<f", raw, 116)[0]
+    if inter != 0.0:
+        raise NiftiError("scl_inter", f"scaled data is unsupported: intercept must be 0, got {inter}")
     return VolumeHeader(dims=(w, h, d), spacing=spacing, datatype=datatype)
 
 

@@ -28,7 +28,8 @@ def _relu_preacts(params, tape):
         if op == "conv":
             x, x_lo, mask = saved
             a = lo - x_lo
-            preacts[k] = netmod._conv_layer(x, t[f"{layer}.w"], t[f"{layer}.b"], a, a + mask.shape[1:])
+            xp = netmod._window(x, a, a + mask.shape[1:])
+            preacts[k] = netmod._conv_layer(xp, t[f"{layer}.w"], t[f"{layer}.b"])
     return preacts
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import signal
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -156,7 +157,7 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
     gp = netmod._frame(gy)
     y = netmod._conv3(xp, netmod._w2(w))[:, :, :h, :w_]
     assert np.allclose(y, ref, rtol=0, atol=1e-12)
-    y = netmod._conv_layer(x, w, b, (0, 0, 0), (d, h, w_))
+    y = netmod._conv_layer(xp, w, b)
     assert np.allclose(y, ref + b[:, None, None, None], rtol=0, atol=1e-12)
     gw = netmod._conv3_weight_grad(xp, gp)
     assert np.allclose(gw, ref_gw, rtol=0, atol=1e-12)
@@ -367,6 +368,151 @@ def test_sigmoid_equals_the_two_branch_form_bitwise():
         got = netmod._sigmoid(x)
         ref = _two_branch_sigmoid(x)
     assert got.tobytes() == ref.tobytes()
+
+
+# The layers as the forward wrote them before its merge input was built in
+# the merge's window: ReLU into a new array, pooling by transpose and argmax,
+# nearest-neighbour doubling by three repeats, and the skip concatenated to
+# the doubled output before the merge conv frames the result.
+
+
+def _relu_ref(x):
+    return np.maximum(x, 0.0), x > 0.0
+
+
+def _maxpool2_ref(x):
+    c, d, h, w = x.shape
+    xr = x.reshape(c, d // 2, 2, h // 2, 2, w // 2, 2)
+    cand = np.ascontiguousarray(xr.transpose(0, 1, 3, 5, 2, 4, 6)).reshape(c, d // 2, h // 2, w // 2, 8)
+    idx = cand.argmax(axis=-1)
+    y = np.take_along_axis(cand, idx[..., None], axis=-1)[..., 0]
+    return y, idx.astype(np.uint8)
+
+
+def _upsample2_ref(x):
+    return x.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
+
+
+def _forward_ref(params, vol, box):
+    """The tape :func:`forward` records, built from the reference layers above."""
+    cfg, t = params.config, params.tensors
+    lo = np.array(box.origin[::-1])
+    boxes = netmod._demand(cfg, vol.data.shape, lo, lo + box.size[::-1])
+    records = []
+
+    def conv(x, x_lo, layer):
+        lo, hi = boxes[len(records)]
+        xp = netmod._window(x, lo - x_lo, hi - x_lo)
+        y, mask = _relu_ref(netmod._conv_layer(xp, t[f"{layer}.w"], t[f"{layer}.b"]))
+        records.append(("conv", layer, lo, (x, x_lo, mask)))
+        return y, lo
+
+    x, o = vol.data[None], np.zeros(3, dtype=int)
+    skips = []
+    for i in range(cfg.depth):
+        x, o = conv(x, o, f"enc{i}")
+        skips.append((x, o))
+        x, idx = _maxpool2_ref(x)
+        o = o >> 1
+        records.append(("pool", f"enc{i}", o, idx))
+    x, o = conv(x, o, "bott")
+    for i in reversed(range(cfg.depth)):
+        x, o = conv(x, o, f"dec{i}.reduce")
+        lo, hi = boxes[len(records)]
+        x = _upsample2_ref(x)[netmod._at(lo - 2 * o, hi - 2 * o)]
+        records.append(("up", f"dec{i}", lo, None))
+        skip, s_lo = skips.pop()
+        x = np.concatenate([skip[netmod._at(lo - s_lo, hi - s_lo)], x], axis=0)
+        records.append(("cat", f"dec{i}", lo, skip.shape[0]))
+        x, o = conv(x, lo, f"dec{i}.merge")
+    records.append(("head", "head", o, x))
+    c, d, h, w = x.shape
+    logits = (t["head.w"] @ x.reshape(c, d * h * w) + t["head.b"][:, None]).reshape(1, d, h, w)
+    return netmod.Tape(params, _two_branch_sigmoid(logits), records)
+
+
+@pytest.mark.parametrize("biases", ["zero", "random"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_forward_matches_the_reference_layers_bitwise(depth, biases):
+    """Outputs, every tape record and every gradient equal the reference tape's, byte for byte."""
+    rng = np.random.default_rng(20 + depth)
+    params = init_params(NetConfig(depth=depth, base_channels=2), seed=depth)
+    if biases == "random":
+        for name, p in params.tensors.items():
+            if name.endswith(".b"):
+                p[:] = rng.normal(scale=0.1, size=p.shape)
+    dims = (16, 8, 24)
+    z, y, x = np.indices(dims)
+    volumes = {
+        "random": rng.uniform(size=dims),
+        "binary": (rng.uniform(size=dims) < 0.3).astype(float),
+        "constant": np.full(dims, 0.37),
+        "zero": np.zeros(dims),
+        "checkerboard": ((z + y + x) % 2).astype(float),
+    }
+    boxes = [Box((0, 0, 0), dims[::-1])] + [
+        Box(tuple(lo[::-1]), tuple(np.subtract(hi, lo)[::-1]))
+        for lo, hi in (_BOXES[name] for name in ("z-low", "x-high", "corner", "odd", "voxel"))
+    ]
+    for kind, data in volumes.items():
+        vol = Volume(data, S, UNIT)
+        for box in boxes:
+            out, tape = forward(params, vol, box)
+            ref = _forward_ref(params, vol, box)
+            where = f"{kind} volume, box {box.origin}+{box.size}"
+            assert out.data.tobytes() == ref.out[0].tobytes(), where
+            assert len(tape.records) == len(ref.records)
+            for (op, layer, lo, saved), (*ref_head, ref_saved) in zip(tape.records, ref.records):
+                assert [op, layer, lo.tolist()] == [ref_head[0], ref_head[1], ref_head[2].tolist()], where
+                if op == "pool":
+                    assert saved.tobytes() == ref_saved.tobytes(), (where, layer)
+                elif op == "conv":
+                    assert saved[0].tobytes() == ref_saved[0].tobytes(), (where, layer)
+                    assert saved[2].tobytes() == ref_saved[2].tobytes(), (where, layer)
+            g = Volume(rng.normal(size=out.data.shape), S)
+            grads, ref_grads = backward(tape, g), backward(ref, g)
+            for name in params.tensors:
+                assert grads[name].tobytes() == ref_grads[name].tobytes(), (where, name)
+
+
+def test_maxpool_matches_argmax_bitwise_on_signed_zero_and_nan_ties():
+    rng = np.random.default_rng(13)
+    for values in ([0.0, -0.0], [0.0, -0.0, 1.0, -1.0], [0.0, -0.0, np.nan, -np.nan, np.inf]):
+        x = rng.choice(np.array(values), size=(3, 8, 8, 8))
+        y, idx = netmod._maxpool2(x)
+        ref_y, ref_idx = _maxpool2_ref(x)
+        assert y.tobytes() == ref_y.tobytes(), values
+        assert idx.tobytes() == ref_idx.tobytes(), values
+
+
+def test_maxpool_nan_anywhere_in_a_block_pools_to_nan():
+    """A NaN beats every number, +inf included, as under argmax, and the first NaN wins."""
+    for k in range(8):
+        x = np.full((1, 2, 2, 2), np.inf)
+        x.reshape(-1)[k] = np.nan
+        y, idx = netmod._maxpool2(x)
+        assert np.isnan(y[0, 0, 0, 0]) and idx.reshape(-1).tolist() == [k]
+        x.reshape(-1)[7] = np.nan
+        assert netmod._maxpool2(x)[1].reshape(-1).tolist() == [k]
+
+
+def test_whole_grid_forward_peak_stays_near_what_it_keeps():
+    """A 32x64x64 whole-grid forward peaks at most 1.35x the bytes its output and tape hold.
+
+    A merge conv whose input is concatenated first and then copied into a
+    framed window holds three full-resolution copies of the skip's data at
+    once; that forward peaks at 1.78x on this grid.
+    """
+    params = init_params(NetConfig(depth=2, base_channels=8), seed=0)
+    vol = unit_volume(np.random.default_rng(14), (64, 64, 32))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out, tape = forward(params, vol)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.35 * (held - base), (peak - base, held - base)
 
 
 def test_adam_worked_example():

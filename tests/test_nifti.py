@@ -119,6 +119,24 @@ def test_read_rejects_corruption(tmp_path):
     with pytest.raises(NiftiError, match=r"dim\[0\]"):
         read_volume(bad)
 
+    for offset, value, field in [
+        (112, 2.0, "scl_slope"),
+        (112, -1.0, "scl_slope"),
+        (112, float("nan"), "scl_slope"),
+        (116, 5.0, "scl_inter"),
+    ]:
+        tweaked = bytearray(raw)
+        struct.pack_into("<f", tweaked, offset, value)
+        bad.write_bytes(tweaked)
+        with pytest.raises(NiftiError, match=field):
+            read_volume(bad)
+
+    # slope 0 means "no scaling" in NIfTI-1, so the voxels read back raw
+    tweaked = bytearray(raw)
+    struct.pack_into("<f", tweaked, 112, 0.0)
+    bad.write_bytes(tweaked)
+    assert np.array_equal(read_volume(bad)[0].data, v.data)
+
     bad.write_bytes(raw[:-8])
     with pytest.raises(NiftiError, match="data"):
         read_volume(bad)
