@@ -97,6 +97,8 @@ def read_manifest(path: str | Path) -> CaseManifest:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ManifestError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -49,6 +49,8 @@ class VolumeHeader:
 def _pack_header(header: VolumeHeader) -> bytes:
     code, bitpix = _DTYPES[header.datatype]
     w, h, d = header.dims
+    if max(w, h, d) > 32767:
+        raise NiftiError("dim", f"NIfTI-1 stores dims as int16, so none may exceed 32767, got {(w, h, d)}")
     sx, sy, sz = header.spacing
     buf = bytearray(HEADER_SIZE)
     struct.pack_into("<i", buf, 0, HEADER_SIZE)          # sizeof_hdr
@@ -117,8 +119,9 @@ def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> Volu
     else:
         payload = v.data.astype("<f4")
     header = VolumeHeader(dims=v.dims, spacing=v.spacing, datatype=datatype)
+    raw = _pack_header(header)  # before the target is opened, so a bad header leaves it as it was
     with open(path, "wb") as fh:
-        fh.write(_pack_header(header))
+        fh.write(raw)
         fh.write(b"\x00\x00\x00\x00")
         fh.write(payload.tobytes())
     return header

@@ -108,3 +108,13 @@ def test_malformed_lines_rejected(tmp_path):
     path.write_text(path.read_text().replace("dims = 64 64 32", "dims = 64 64"))
     with pytest.raises(ManifestError, match="dims"):
         read_manifest(path)
+
+
+def test_bytes_that_are_not_utf8_rejected(tmp_path):
+    path = tmp_path / "m.manifest"
+    write_manifest(path, _manifest())
+    raw = path.read_bytes()
+    at = raw.index(b"case007_bone")
+    path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    with pytest.raises(ManifestError, match=rf"m\.manifest: byte {at} is not UTF-8"):
+        read_manifest(path)

@@ -146,6 +146,16 @@ def test_read_rejects_corruption(tmp_path):
         read_volume(bad)
 
 
+def test_write_rejects_a_dim_int16_cannot_hold_and_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "v.nii"
+    write_volume(path, _float32_volume(np.random.default_rng(5), (2, 3, 4)))
+    before = path.read_bytes()
+    with pytest.raises(NiftiError, match="dim") as err:
+        write_volume(path, Volume(np.zeros((1, 1, 32768)), (1.0, 1.0, 1.0)))
+    assert err.value.field == "dim"
+    assert path.read_bytes() == before
+
+
 def test_domain_override_on_read(tmp_path):
     v = Volume(np.full((2, 2, 2), 0.25), (1.0, 1.0, 1.0), UNIT)
     path = tmp_path / "u.nii"
