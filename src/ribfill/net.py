@@ -5,19 +5,22 @@ padding, one GEMM per cache-sized column block of a flat zero-framed window
 of the input with the three x taps folded into the kernel's rows; weight
 gradients walk the same blocks, and input gradients convolve the upstream
 gradient with the offset-flipped, in/out-swapped kernel, so no scatter
-operation ever appears.  Each conv adds its bias into one compact copy of
-its output and clamps that copy in place for the ReLU.  Downsampling is
-2x2x2 max pooling (ties go to the first maximal voxel in canonical x-fastest
-scan order), upsampling is nearest-neighbour doubling.  Each decoder level
-halves the channel count with a conv while still at the coarse resolution,
-then merges the encoder skip and the doubled grid with another conv.  That
-merge input is built directly in the merge conv's zero-framed window, the
-way memory-efficient DenseNets share one buffer for their concatenations
-(Pleiss et al., 2017): the skip is copied into the first channels, and the
-coarse output is written into the rest by eight strided copies, one per
-parity class of voxels, so no upsampled or concatenated array exists.  The
-head is a 1x1x1 conv squashed in place by a sigmoid, so outputs live
-strictly inside (0, 1).
+operation ever appears.  The forward runs each conv in z-slabs of a few
+output planes: it builds one slab's window, convolves it and adds the bias
+into that slab of one compact output, which it then clamps in place for the
+ReLU, so a whole window or a whole output with its junk columns never
+exists.  Downsampling is 2x2x2 max pooling (ties go to the first maximal
+voxel in canonical x-fastest scan order), upsampling is nearest-neighbour
+doubling.  Each decoder level halves the channel count with a conv while
+still at the coarse resolution, then merges the encoder skip and the
+doubled grid with another conv.  That merge input never exists whole
+either: each of the merge conv's windows is filled from the skip and the
+coarse output, the way memory-efficient DenseNets build their
+concatenations in a shared buffer (Pleiss et al., 2017).  The skip is
+copied into the first channels, and the coarse output is written into the
+rest by eight strided copies, one per parity class of voxels, so no
+upsampled or concatenated array exists.  The head is a 1x1x1 conv squashed
+in place by a sigmoid, so outputs live strictly inside (0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
 (Ren et al., SBNet), and both take their boxes from one reverse walk of the
@@ -38,7 +41,9 @@ first.  It runs the same demand walk from the support box of the output
 gradient, the bounding box of its nonzeros, so a loss scored on the defect
 crop costs a backward pass over the crop plus a halo of one voxel per conv.
 Each conv frames its gradient with zeros once, and both its weight gradient
-and its input gradient read that copy.
+and its input gradient read that copy; the weight gradient reads its input's
+window over the whole box at once, built by the same rule as the forward's
+slab windows.
 
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
@@ -131,6 +136,7 @@ def init_params(config: NetConfig, seed: int) -> NetParams:
 # read across a row's end and are junk.
 
 _BLOCK_BYTES = 1 << 21  # patch-block budget; step time was flat from 256 KiB to 8 MiB
+_SLAB_PLANES = 4  # output z planes per forward conv window; 8 took a 32x64x64 peak from 1.24x to 1.40x what it keeps
 
 
 def _w2(w: np.ndarray) -> np.ndarray:
@@ -149,6 +155,9 @@ def _window(x: np.ndarray, lo, hi) -> np.ndarray:
 
     The frame holds the real neighbours of the box and zeros where it passes
     a face of the grid, like a same-padded conv; the spare plane is zero.
+    So x must cover the box grown by one voxel a side as far as the grid
+    goes, and lie inside the grid.  The forward asks for one z-slab of a
+    conv's box at a time, the backward for the whole box.
     """
     n = [b - a for a, b in zip(lo, hi)]
     xp = np.zeros((x.shape[0], n[0] + 3, n[1] + 2, n[2] + 2))
@@ -210,16 +219,67 @@ def _conv3(xp: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return yp
 
 
-def _conv_layer(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded 3x3x3 conv plus bias, before the ReLU, of the box that the window xp frames.
+def _merge_window(skip_src, coarse_src, lo, hi) -> np.ndarray:
+    """The window of a ``.merge`` conv's input over the box [lo, hi), laid out as :func:`_window` lays it out.
 
-    xp is laid out as :func:`_window` lays it out, (Ci, D+3, H+2, W+2): built
-    by :func:`_window`, or for a ``.merge`` conv filled in place by
-    :func:`forward`.  The bias add makes the compact (Co, D, H, W) result.
+    The input is the encoder skip concatenated with the coarse ``.reduce``
+    output doubled, each given as ``(array, origin of its box)``.  The skip
+    is copied into the first channels, and the coarse output is written into
+    the rest by eight strided copies, one per parity class of voxels, so no
+    upsampled or concatenated array exists.  Both are filled on the box grown
+    by one voxel a side as far as the skip's box goes: that box lies inside
+    the grid and holds the merge box grown that way, so the frame holds real
+    neighbours and stays zero only at faces of the grid.
     """
-    _, _, hp, wp = xp.shape
-    yp = _conv3(xp, _w2(w))
-    return yp[:, :, : hp - 2, : wp - 2] + b[:, None, None, None]
+    (skip, s_lo), (x, x_lo) = skip_src, coarse_src
+    cs = skip.shape[0]
+    xp = np.zeros((cs + x.shape[0], *(hi - lo + (3, 2, 2))))
+    a, b = np.maximum(lo - 1, s_lo), np.minimum(hi + 1, s_lo + skip.shape[1:])
+    cat = xp[_at(a - lo + 1, b - lo + 1)]
+    cat[:cs] = skip[_at(a - s_lo, b - s_lo)]
+    # nearest-neighbour doubling, one parity class per axis at a time:
+    # voxel a + j reads coarse voxel ((a + r) >> 1) + j // 2, r = j % 2
+    for r in itertools.product((0, 1), repeat=3):
+        src = ((a + r) >> 1) - x_lo
+        n = (b - a - r + 1) >> 1
+        cat[(slice(cs, None), *(slice(q, None, 2) for q in r))] = x[_at(src, src + n)]
+    return xp
+
+
+def _conv_window(src, lo, hi) -> np.ndarray:
+    """The window of a conv's input over the box [lo, hi), from the sources its tape record saves.
+
+    ``src`` is ``((x, x_lo),)``, the input on a box with origin x_lo, read
+    by :func:`_window`; or, for a ``.merge`` conv, ``((skip, s_lo),
+    (coarse, c_lo))``, read by :func:`_merge_window`.  Both passes take
+    every conv window from here.
+    """
+    if len(src) == 2:
+        return _merge_window(*src, lo, hi)
+    ((x, x_lo),) = src
+    return _window(x, lo - x_lo, hi - x_lo)
+
+
+def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-padded 3x3x3 conv plus bias, before the ReLU, on the box [lo, hi) of the input that src holds.
+
+    Walks the box in z-slabs of ``_SLAB_PLANES`` output planes, the way
+    patch-based inference runs a layer region by region (Lin et al.,
+    MCUNetV2): each slab's window comes from :func:`_conv_window`,
+    :func:`_conv3` runs on it, and the bias is added into that slab of one
+    compact (Co, D, H, W) output.  So neither the whole window nor a whole
+    output with its junk columns exists.  Every GEMM is a multiple of 8
+    columns wide, so the slab bounds move no output bit.
+    """
+    w2 = _w2(w)
+    bias = b[:, None, None, None]
+    d, h, w_ = hi - lo
+    y = np.empty((w.shape[0], d, h, w_))
+    for z0 in range(0, d, _SLAB_PLANES):
+        z1 = min(z0 + _SLAB_PLANES, d)
+        yp = _conv3(_conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:]))), w2)
+        np.add(yp[:, :, :h, :w_], bias, out=y[:, z0:z1])
+    return y
 
 
 def _conv3_weight_grad(xp: np.ndarray, gp: np.ndarray) -> np.ndarray:
@@ -346,13 +406,15 @@ class Tape:
 
     ``records`` holds one ``(op, layer, lo, saved)`` entry per layer in
     execution order, where ``lo`` is the grid origin of the layer's output
-    box, the record's box from :func:`_demand`: ``conv`` saves its input,
-    that input's origin and its ReLU mask, ``pool`` its winner indices,
-    ``up`` nothing, ``cat`` the skip's channel count and ``head`` its input.
-    A ``.merge`` conv's input is the view of its window that covers the
-    ``cat`` box, with that box's origin, so its frame is not copied again.
-    ``out`` is the sigmoid output on the box the forward was asked for,
-    (1, D, H, W).
+    box, the record's box from :func:`_demand`: ``conv`` saves ``(src,
+    mask)``, ``pool`` its winner indices, ``up`` nothing, ``cat`` the skip's
+    channel count and ``head`` its input.  A conv's mask is its ReLU mask,
+    and src holds the sources :func:`_conv_window` builds its windows from:
+    ``((x, x_lo),)``, its input and that input's origin, or for a ``.merge``
+    conv the skip and the coarse ``.reduce`` output with their origins.  So
+    the skip stays on the tape, and the merge input exists only one window
+    at a time.  ``out`` is the sigmoid output on the box the forward was
+    asked for, (1, D, H, W).
     """
 
     params: NetParams
@@ -366,14 +428,14 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     ``box`` defaults to the whole grid.  Each layer runs only on its box from
     :func:`_demand`, the part of its grid that the output on ``box`` depends
     on; for a loss scored on the defect crop that skips most of the decoder.
-    A conv reads its input's window of its box, whose one-voxel halo holds
-    real neighbours and zeros only at faces of the grid, and every conv GEMM
-    is a multiple of 8 columns wide (see :func:`_patches`), so the output,
-    and every gradient :func:`backward` takes from the tape, is byte-equal
-    to the same box of the whole-grid forward's.  A ``.merge`` conv's window
-    is filled in place from the skip and the coarse ``.reduce`` output (see
-    the module docstring), and the skip is released before that conv runs,
-    so during it the skip's data exists only in the window.
+    A conv reads its input's windows of its box one z-slab at a time (see
+    :func:`_conv_layer`), whose one-voxel halo holds real neighbours and
+    zeros only at faces of the grid, and every conv GEMM is a multiple of 8
+    columns wide (see :func:`_patches`), so the output, and every gradient
+    :func:`backward` takes from the tape, is byte-equal to the same box of
+    the whole-grid forward's.  A ``.merge`` conv's windows are filled from
+    the skip and the coarse ``.reduce`` output (see :func:`_merge_window`),
+    and its tape record keeps both.
     """
     if vol.domain != UNIT:
         raise DomainError(f"network input must be unit-domain, got {vol.domain!r}")
@@ -392,51 +454,32 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     t = params.tensors
     records: list[tuple[str, str, np.ndarray, object]] = []
 
-    def conv(
-        x: np.ndarray, x_lo: np.ndarray, layer: str, xp: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def conv(src, layer: str) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = boxes[len(records)]
-        if xp is None:  # all but a merge, whose window is built in place
-            xp = _window(x, lo - x_lo, hi - x_lo)
-        y = _conv_layer(xp, t[f"{layer}.w"], t[f"{layer}.b"])
+        y = _conv_layer(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"])
         mask = y > 0.0
-        records.append(("conv", layer, lo, (x, x_lo, mask)))
+        records.append(("conv", layer, lo, (src, mask)))
         return np.maximum(y, 0.0, out=y), lo
 
     # x always holds its layer's output on the box with origin o
     x, o = vol.data[None], np.zeros(3, dtype=int)
     skips: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(cfg.depth):
-        x, o = conv(x, o, f"enc{i}")
+        x, o = conv(((x, o),), f"enc{i}")
         skips.append((x, o))
         x, idx = _maxpool2(x)
         o = o >> 1
         records.append(("pool", f"enc{i}", o, idx))
 
-    x, o = conv(x, o, "bott")
+    x, o = conv(((x, o),), "bott")
 
     for i in reversed(range(cfg.depth)):
-        x, o = conv(x, o, f"dec{i}.reduce")
-        lo, hi = boxes[len(records)]  # up and cat
-        m_lo, m_hi = boxes[len(records) + 2]  # merge
-        skip, s_lo = skips.pop()
-        cs = skip.shape[0]
-        # the merge's window, built in place: the cat box is the merge box
-        # grown by one voxel a side as far as the grid goes, and the frame
-        # beyond it stays zero
-        xp = np.zeros((cs + x.shape[0], *(m_hi - m_lo + (3, 2, 2))))
-        cat = xp[_at(lo - m_lo + 1, hi - m_lo + 1)]
-        cat[:cs] = skip[_at(lo - s_lo, hi - s_lo)]
-        # nearest-neighbour doubling, one parity class per axis at a time:
-        # voxel lo + j reads coarse voxel ((lo + r) >> 1) - o + j // 2, r = j % 2
-        for r in itertools.product((0, 1), repeat=3):
-            src = ((lo + r) >> 1) - o
-            n = (hi - lo - r + 1) >> 1
-            cat[(slice(cs, None), *(slice(q, None, 2) for q in r))] = x[_at(src, src + n)]
+        x, o = conv(((x, o),), f"dec{i}.reduce")
+        lo = boxes[len(records)][0]  # up and cat
+        skip = skips.pop()
         records.append(("up", f"dec{i}", lo, None))
-        records.append(("cat", f"dec{i}", lo, cs))
-        del skip, x
-        x, o = conv(cat, lo, f"dec{i}.merge", xp)
+        records.append(("cat", f"dec{i}", lo, skip[0].shape[0]))
+        x, o = conv((skip, (x, o)), f"dec{i}.merge")
 
     records.append(("head", "head", o, x))
     c, d, h, w = x.shape
@@ -496,7 +539,8 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     out = tape.out[_at(lo, hi)]
     g = grad_out.data[None][_at(lo, hi)] * (out * (1.0 - out))
     o = tape.records[-1][2]  # the head's box is the output's
-    dims = tape.records[0][3][0].shape[1:]  # enc0's input is the whole volume
+    ((x, _),), _ = tape.records[0][3]  # enc0's input is the whole volume
+    dims = x.shape[1:]
     boxes = _demand(tape.params.config, dims, lo + o, hi + o)
     skip_grads: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -512,10 +556,10 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
             grads["head.b"] = g2.sum(axis=1)
             g = (t["head.w"].T @ g2).reshape(c, *g.shape[1:])
         elif op == "conv":
-            x, x_lo, mask = saved
+            src, mask = saved
             g = g * mask[_at(lo - o, hi - o)]
             gp = _frame(g)
-            grads[f"{layer}.w"] = _conv3_weight_grad(_window(x, lo - x_lo, hi - x_lo), gp)
+            grads[f"{layer}.w"] = _conv3_weight_grad(_conv_window(src, lo, hi), gp)
             grads[f"{layer}.b"] = g.sum(axis=(1, 2, 3))
             if k:  # nothing reads the gradient of the net's input
                 # the input box is this box grown by one voxel a side, as far as

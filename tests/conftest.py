@@ -31,10 +31,8 @@ def _relu_preacts(params, tape):
     preacts = {}
     for k, (op, layer, lo, saved) in enumerate(tape.records):
         if op == "conv":
-            x, x_lo, mask = saved
-            a = lo - x_lo
-            xp = netmod._window(x, a, a + mask.shape[1:])
-            preacts[k] = netmod._conv_layer(xp, t[f"{layer}.w"], t[f"{layer}.b"])
+            src, mask = saved
+            preacts[k] = netmod._conv_layer(src, lo, lo + mask.shape[1:], t[f"{layer}.w"], t[f"{layer}.b"])
     return preacts
 
 

@@ -157,7 +157,8 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
     gp = netmod._frame(gy)
     y = netmod._conv3(xp, netmod._w2(w))[:, :, :h, :w_]
     assert np.allclose(y, ref, rtol=0, atol=1e-12)
-    y = netmod._conv_layer(xp, w, b)
+    o = np.zeros(3, dtype=int)
+    y = netmod._conv_layer(((x, o),), o, np.array((d, h, w_)), w, b)
     assert np.allclose(y, ref + b[:, None, None, None], rtol=0, atol=1e-12)
     gw = netmod._conv3_weight_grad(xp, gp)
     assert np.allclose(gw, ref_gw, rtol=0, atol=1e-12)
@@ -198,11 +199,11 @@ def _dense_backward(tape, grad_out):
             grads["head.b"] = g.sum(axis=(1, 2, 3))
             g = np.einsum("vc,vzyx->czyx", t["head.w"], g)
         elif op == "conv":
-            x, _, mask = saved
+            src, mask = saved
             w = t[f"{layer}.w"]
             g = g * mask
-            _, d, h, w_ = x.shape
-            xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (1, 1)))
+            _, d, h, w_ = mask.shape
+            xp = netmod._conv_window(src, np.zeros(3, dtype=int), np.array(mask.shape[1:]))[:, :-1]
             gxp = np.zeros(xp.shape)
             gw = np.zeros(w.shape)
             for dz, dy, dx in itertools.product(range(3), repeat=3):
@@ -402,9 +403,9 @@ def _forward_ref(params, vol, box):
 
     def conv(x, x_lo, layer):
         lo, hi = boxes[len(records)]
-        xp = netmod._window(x, lo - x_lo, hi - x_lo)
-        y, mask = _relu_ref(netmod._conv_layer(xp, t[f"{layer}.w"], t[f"{layer}.b"]))
-        records.append(("conv", layer, lo, (x, x_lo, mask)))
+        src = ((x, x_lo),)
+        y, mask = _relu_ref(netmod._conv_layer(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"]))
+        records.append(("conv", layer, lo, (src, mask)))
         return y, lo
 
     x, o = vol.data[None], np.zeros(3, dtype=int)
@@ -466,9 +467,11 @@ def test_forward_matches_the_reference_layers_bitwise(depth, biases):
                 assert [op, layer, lo.tolist()] == [ref_head[0], ref_head[1], ref_head[2].tolist()], where
                 if op == "pool":
                     assert saved.tobytes() == ref_saved.tobytes(), (where, layer)
-                elif op == "conv":
-                    assert saved[0].tobytes() == ref_saved[0].tobytes(), (where, layer)
-                    assert saved[2].tobytes() == ref_saved[2].tobytes(), (where, layer)
+                elif op == "conv":  # the input's window on the box, and the mask
+                    hi = lo + saved[1].shape[1:]
+                    xp, ref_xp = (netmod._conv_window(rec[0], lo, hi) for rec in (saved, ref_saved))
+                    assert xp.tobytes() == ref_xp.tobytes(), (where, layer)
+                    assert saved[1].tobytes() == ref_saved[1].tobytes(), (where, layer)
             g = Volume(rng.normal(size=out.data.shape), S)
             grads, ref_grads = backward(tape, g), backward(ref, g)
             for name in params.tensors:
@@ -513,6 +516,46 @@ def test_whole_grid_forward_peak_stays_near_what_it_keeps():
     finally:
         tracemalloc.stop()
     assert peak - base <= 1.35 * (held - base), (peak - base, held - base)
+
+
+def _arrays(obj):
+    """Every array in a tape record's saved entry, through nested tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def _forward_peak(params, vol):
+    """Peak bytes a whole-grid forward allocates, by tracemalloc, and its tape."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, tape = forward(params, vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base, tape
+
+
+def test_forward_streams_each_conv_window_in_slabs(monkeypatch):
+    """At 32x64x64, slabs take at least half of dec0.merge's whole window off the peak, and no
+    tape record holds an array, or a view of one, that large."""
+    cfg = NetConfig(depth=2, base_channels=8)
+    params = init_params(cfg, seed=0)
+    vol = unit_volume(np.random.default_rng(14), (64, 64, 32))
+    c_in = {name: ci for name, ci, _ in cfg.layer_plan()}["dec0.merge"]
+    window = c_in * (32 + 3) * (64 + 2) * (64 + 2) * 8  # (Ci, D+3, H+2, W+2) float64
+    shipped, tape = _forward_peak(params, vol)
+    monkeypatch.setattr(netmod, "_SLAB_PLANES", 32)
+    whole, _ = _forward_peak(params, vol)
+    assert whole - shipped >= window / 2, (whole, shipped, window)
+    for op, layer, _, saved in tape.records:
+        for a in _arrays(saved):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            assert a.nbytes < window, (op, layer, a.shape)
 
 
 def test_adam_worked_example():

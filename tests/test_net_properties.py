@@ -1,9 +1,11 @@
 """Generated properties of the box engine: demand boxes, box forward, support-box backward.
 
-Hypothesis draws the net, the grid, the boxes and the input.  The profile
-registered in conftest derandomizes it, so every run checks the same
-examples.
+Hypothesis draws the net, the grid, the boxes, the input and the depth of
+the forward's conv slabs.  The profile registered in conftest derandomizes
+it, so every run checks the same examples.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -43,7 +45,8 @@ def _nets(draw):
 
 @st.composite
 def _cases(draw):
-    """A net, its parameters, an input volume, an output box and a gradient support box inside it."""
+    """A net, its parameters, an input volume, an output box, a gradient support box inside it,
+    and a slab depth for the forward's convs: one plane, two, or the whole grid."""
     depth, dims, (lo, hi) = draw(_nets())
     base = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -56,7 +59,8 @@ def _cases(draw):
     kind = draw(st.sampled_from(sorted(_INPUTS)))
     vol = Volume(_INPUTS[kind](rng, dims), S, UNIT)
     s_lo, s_hi = draw(_boxes(tuple(hi - lo)))
-    return params, vol, (lo, hi), (s_lo, s_hi), rng
+    slab = draw(st.sampled_from([1, 2, dims[0]]))
+    return params, vol, (lo, hi), (s_lo, s_hi), slab, rng
 
 
 def _box(lo, hi) -> Box:
@@ -95,9 +99,10 @@ def test_demand_boxes_stay_inside_their_grids(net):
 @settings(max_examples=40)
 @given(_cases())
 def test_box_passes_equal_the_whole_grid_passes(case):
-    params, vol, (lo, hi), (s_lo, s_hi), rng = case
+    params, vol, (lo, hi), (s_lo, s_hi), slab, rng = case
     full, full_tape = forward(params, vol)
-    out, tape = forward(params, vol, _box(lo, hi))
+    with mock.patch.object(netmod, "_SLAB_PLANES", slab):
+        out, tape = forward(params, vol, _box(lo, hi))
     assert out.data.tobytes() == full.data[_sl(lo, hi)].tobytes()
     g = np.zeros(out.data.shape)
     g[_sl(s_lo, s_hi)] = rng.normal(size=tuple(s_hi - s_lo))
@@ -115,11 +120,12 @@ def test_box_passes_equal_the_whole_grid_passes(case):
 @given(_cases())
 def test_output_on_a_box_ignores_the_input_outside_its_cone(case):
     """Input voxels outside enc0's demand box and its one-voxel halo do not reach the output on the box."""
-    params, vol, (lo, hi), _, rng = case
-    out, _ = forward(params, vol, _box(lo, hi))
+    params, vol, (lo, hi), _, slab, rng = case
     a, b = netmod._demand(params.config, vol.data.shape, lo, hi)[0]
     cone = _sl(np.maximum(a - 1, 0), b + 1)
     data = rng.uniform(size=vol.data.shape)
     data[cone] = vol.data[cone]
-    moved, _ = forward(params, Volume(data, S, UNIT))
+    with mock.patch.object(netmod, "_SLAB_PLANES", slab):
+        out, _ = forward(params, vol, _box(lo, hi))
+        moved, _ = forward(params, Volume(data, S, UNIT))
     assert moved.data[_sl(lo, hi)].tobytes() == out.data.tobytes()
