@@ -476,10 +476,10 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     for i in reversed(range(cfg.depth)):
         x, o = conv(((x, o),), f"dec{i}.reduce")
         lo = boxes[len(records)][0]  # up and cat
-        skip = skips.pop()
+        skip, s_lo = skips.pop()
         records.append(("up", f"dec{i}", lo, None))
-        records.append(("cat", f"dec{i}", lo, skip[0].shape[0]))
-        x, o = conv((skip, (x, o)), f"dec{i}.merge")
+        records.append(("cat", f"dec{i}", lo, skip.shape[0]))
+        x, o = conv(((skip, s_lo), (x, o)), f"dec{i}.merge")
 
     records.append(("head", "head", o, x))
     c, d, h, w = x.shape
