@@ -151,10 +151,8 @@ def _resize_axis(arr: np.ndarray, axis: int, n_new: int) -> np.ndarray:
     n_old = arr.shape[axis]
     if n_new == n_old:
         return arr
-    a = np.moveaxis(arr, axis, 0)
     if n_old == 1:
-        out = np.broadcast_to(a, (n_new,) + a.shape[1:]).copy()
-        return np.moveaxis(out, 0, axis)
+        return arr.repeat(n_new, axis)
     if n_new == 1:
         pos = np.array([(n_old - 1) / 2.0])
     else:
@@ -163,15 +161,19 @@ def _resize_axis(arr: np.ndarray, axis: int, n_new: int) -> np.ndarray:
     lo = np.floor(pos).astype(np.intp)
     np.clip(lo, 0, n_old - 2, out=lo)
     f = pos - lo
-    lo_rows = a[lo]
-    out = lo_rows + f.reshape((-1,) + (1,) * (a.ndim - 1)) * (a[lo + 1] - lo_rows)
+    lo_rows = arr.take(lo, axis)
+    out = arr.take(lo + 1, axis)
+    # lo + f * (hi - lo), blended in place in the gathered hi rows
+    out -= lo_rows
+    out *= f.reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+    out += lo_rows
     # outputs landing exactly on an input sample copy it bit for bit; the
     # blend above does so on its own for f == 0 but not for the clamped
     # f == 1 at the top corner
     hit = np.flatnonzero(f == 1.0)
     if hit.size:
-        out[hit] = a[lo[hit] + 1]
-    return np.moveaxis(out, 0, axis)
+        out[(slice(None),) * axis + (hit,)] = arr.take(lo[hit] + 1, axis)
+    return out
 
 
 def trilinear_resize(v: Volume, dims: tuple[int, int, int]) -> Volume:

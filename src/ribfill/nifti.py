@@ -51,7 +51,10 @@ def _pack_header(header: VolumeHeader) -> bytes:
     w, h, d = header.dims
     if max(w, h, d) > 32767:
         raise NiftiError("dim", f"NIfTI-1 stores dims as int16, so none may exceed 32767, got {(w, h, d)}")
-    sx, sy, sz = header.spacing
+    with np.errstate(over="ignore"):
+        sx, sy, sz = (float(s) for s in np.asarray(header.spacing, dtype=np.float32))
+    if any(not np.isfinite(s) or s <= 0.0 for s in (sx, sy, sz)):
+        raise NiftiError("pixdim", f"spacing {header.spacing} is {(sx, sy, sz)} in float32, not positive and finite")
     buf = bytearray(HEADER_SIZE)
     struct.pack_into("<i", buf, 0, HEADER_SIZE)          # sizeof_hdr
     struct.pack_into("<8h", buf, 40, 3, w, h, d, 1, 1, 1, 1)  # dim

@@ -11,11 +11,20 @@ Randomness is confined to small per-rib jitter of the arc axes and height,
 drawn from a seeded generator; jitter 0 gives a bitwise left/right
 symmetric volume because the left ribs are produced by mirroring the
 rasterised right-side tubes, never by re-deriving mirrored coordinates.
+
+A tube is rasterised from the squared distance of each pixel to the arc's
+samples, taken in chunks of 64 samples.  Each chunk is scored only on its
+own window: the bounding box of its samples grown by ``r + 1`` and clipped
+to the grid.  That is exact, not an approximation.  A pixel within ``r``
+of its nearest sample lies in that sample's chunk window and gets the same
+minimum from the same terms; a pixel farther than ``r`` from every sample
+fails the disc test on every plane whatever partial minimum it holds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +61,17 @@ class PhantomSpec:
 
 
 def _validate(spec: PhantomSpec) -> tuple[float, float]:
-    w, h, d = spec.dims
+    try:
+        w, h, d = (operator.index(n) for n in spec.dims)
+    except (TypeError, ValueError):
+        raise GeometryError(f"dims must be three integers, got {spec.dims!r}") from None
+    for field in ("rib_pairs", "seed"):
+        try:
+            operator.index(getattr(spec, field))
+        except TypeError:
+            raise GeometryError(f"{field} must be an integer, got {getattr(spec, field)!r}") from None
+    if spec.seed < 0:
+        raise GeometryError(f"seed must be non-negative, got {spec.seed}")
     if spec.rib_pairs < 1:
         raise GeometryError(f"need at least one rib pair, got {spec.rib_pairs}")
     # written as "not (valid)" so that NaN, which fails every comparison, is rejected
@@ -72,20 +91,34 @@ def _validate(spec: PhantomSpec) -> tuple[float, float]:
     return a, b
 
 
+def _reach(p: np.ndarray, r: float, n: int) -> tuple[int, int]:
+    """First and last index on a grid axis of length ``n`` within ``r + 1`` of the samples ``p``."""
+    return max(0, int(math.floor(p.min() - r - 1.0))), min(n - 1, int(math.ceil(p.max() + r + 1.0)))
+
+
 def _rasterize_tube(
     bone: np.ndarray, a: float, b: float, zc: float, r: float, cx: float, cy: float, mirror: bool
 ) -> None:
-    """OR one rib tube into ``bone``; ``mirror`` flips it to the left side."""
+    """OR one rib tube into ``bone``; ``mirror`` flips it to the left side.
+
+    ``d2`` holds each pixel's squared distance to the arc samples, over the
+    tube's rectangle.  Each chunk of 64 samples updates only its own window,
+    the pixels within ``r + 1`` of its samples, which lies inside the
+    rectangle.  Pixels outside a chunk's window keep their partial minimum.
+    That is exact for the disc test ``d2 <= r*r - (z - zc)**2``: a pixel
+    within ``r`` of its nearest sample lies in that sample's chunk window,
+    so it gets the same minimum from the same ``dy2 + dx2`` terms, and a
+    pixel whose true minimum exceeds ``r*r`` holds a partial minimum no
+    smaller, so it fails the test on every plane either way.
+    """
     dz, hy, wx = bone.shape
     m = max(16, int(math.ceil(math.pi * max(a, b) / _ARC_STEP)) + 1)
     t = np.linspace(0.0, math.pi, m)
     px = cx + a * np.sin(t)
     py = cy - b * np.cos(t)
 
-    x0 = max(0, int(math.floor(px.min() - r - 1.0)))
-    x1 = min(wx - 1, int(math.ceil(px.max() + r + 1.0)))
-    y0 = max(0, int(math.floor(py.min() - r - 1.0)))
-    y1 = min(hy - 1, int(math.ceil(py.max() + r + 1.0)))
+    x0, x1 = _reach(px, r, wx)
+    y0, y1 = _reach(py, r, hy)
     if x1 < x0 or y1 < y0:
         return
     xs = np.arange(x0, x1 + 1, dtype=np.float64)
@@ -94,8 +127,13 @@ def _rasterize_tube(
     dy2 = (ys[:, None] - py[None, :]) ** 2
     d2 = np.full((ys.size, xs.size), np.inf)
     for i in range(0, m, 64):
-        block = dy2[:, None, i : i + 64] + dx2[None, :, i : i + 64]
-        np.minimum(d2, block.min(axis=2), out=d2)
+        u0, u1 = _reach(px[i : i + 64], r, wx)
+        v0, v1 = _reach(py[i : i + 64], r, hy)
+        if u1 < u0 or v1 < v0:
+            continue
+        win = d2[v0 - y0 : v1 - y0 + 1, u0 - x0 : u1 - x0 + 1]
+        block = dy2[v0 - y0 : v1 - y0 + 1, None, i : i + 64] + dx2[None, u0 - x0 : u1 - x0 + 1, i : i + 64]
+        np.minimum(win, block.min(axis=2), out=win)
 
     z_lo = max(0, int(math.ceil(zc - r)))
     z_hi = min(dz - 1, int(math.floor(zc + r)))
@@ -112,8 +150,8 @@ def _rasterize_tube(
 
 def _bone_stencil(spec: PhantomSpec) -> np.ndarray:
     """Bool (z, y, x) array of everything that will be painted as bone."""
-    w, h, d = spec.dims
     a_t, b_t = _validate(spec)
+    w, h, d = spec.dims
     r = spec.rib_radius
     cx = (w - 1) / 2.0
     cy = (h - 1) / 2.0
@@ -160,8 +198,8 @@ def _bone_stencil(spec: PhantomSpec) -> np.ndarray:
 
 def generate_phantom(spec: PhantomSpec = PhantomSpec()) -> Volume:
     """Render one phantom as an HU-domain volume."""
-    w, h, d = spec.dims
     a_t, b_t = _validate(spec)
+    w, h, d = spec.dims
     cx = (w - 1) / 2.0
     cy = (h - 1) / 2.0
     xg = (np.arange(w, dtype=np.float64) - cx) / a_t

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_mask, unit_volume
 from ribfill.grid import (
@@ -123,6 +125,63 @@ def test_resize_single_plane_cases():
     assert np.all(up.data == 2.0)
     with pytest.raises(ShapeError):
         trilinear_resize(v, (0, 1, 1))
+
+
+def _resize_axis_moveaxis(arr, axis, n_new):
+    """Reference resample of one axis: gather rows along a front-moved axis, then blend."""
+    n_old = arr.shape[axis]
+    if n_new == n_old:
+        return arr
+    a = np.moveaxis(arr, axis, 0)
+    if n_old == 1:
+        out = np.broadcast_to(a, (n_new,) + a.shape[1:]).copy()
+        return np.moveaxis(out, 0, axis)
+    if n_new == 1:
+        pos = np.array([(n_old - 1) / 2.0])
+    else:
+        pos = np.arange(n_new, dtype=np.float64) * ((n_old - 1) / (n_new - 1))
+    np.clip(pos, 0.0, float(n_old - 1), out=pos)
+    lo = np.floor(pos).astype(np.intp)
+    np.clip(lo, 0, n_old - 2, out=lo)
+    f = pos - lo
+    lo_rows = a[lo]
+    out = lo_rows + f.reshape((-1,) + (1,) * (a.ndim - 1)) * (a[lo + 1] - lo_rows)
+    hit = np.flatnonzero(f == 1.0)
+    if hit.size:
+        out[hit] = a[lo[hit] + 1]
+    return np.moveaxis(out, 0, axis)
+
+
+def _assert_resize_matches_reference(v, dims):
+    ref = v.data
+    for axis, n in ((2, dims[0]), (1, dims[1]), (0, dims[2])):
+        ref = _resize_axis_moveaxis(ref, axis, n)
+    ref = np.clip(ref, v.data.min(), v.data.max())
+    assert trilinear_resize(v, dims).data.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2], ids=["z", "y", "x"])
+# 3 -> 5 ends at position 4 * (2 / 4) == 2.0 exactly, the clamped f == 1 top corner
+@pytest.mark.parametrize("n_old, n_new", [(1, 5), (5, 1), (3, 5), (7, 4), (4, 9), (6, 6)])
+def test_resize_equals_the_moveaxis_reference_on_each_axis(axis, n_old, n_new):
+    rng = np.random.default_rng(10 * n_old + n_new)
+    shape = [3, 4, 5]
+    shape[axis] = n_old
+    v = Volume(rng.normal(size=shape) * 1e3, S)
+    dims = list(v.dims)
+    dims[2 - axis] = n_new
+    _assert_resize_matches_reference(v, tuple(dims))
+
+
+@settings(max_examples=150)
+@given(
+    shape=st.tuples(*[st.integers(1, 12)] * 3),
+    dims=st.tuples(*[st.integers(1, 24)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resize_equals_the_moveaxis_reference(shape, dims, seed):
+    v = Volume(np.random.default_rng(seed).normal(size=shape), S)
+    _assert_resize_matches_reference(v, dims)
 
 
 def test_resized_mask_needs_rebinarizing():

@@ -156,6 +156,17 @@ def test_write_rejects_a_dim_int16_cannot_hold_and_keeps_the_previous_file(tmp_p
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("sx", [1e300, 1e-50], ids=["overflows", "underflows"])
+def test_write_rejects_a_spacing_float32_cannot_hold_and_keeps_the_previous_file(tmp_path, sx):
+    path = tmp_path / "v.nii"
+    write_volume(path, _float32_volume(np.random.default_rng(5), (2, 3, 4)))
+    before = path.read_bytes()
+    with pytest.raises(NiftiError, match="pixdim") as err:
+        write_volume(path, Volume(np.zeros((2, 2, 2)), (sx, 1.0, 1.0)))
+    assert err.value.field == "pixdim"
+    assert path.read_bytes() == before
+
+
 def test_domain_override_on_read(tmp_path):
     v = Volume(np.full((2, 2, 2), 0.25), (1.0, 1.0, 1.0), UNIT)
     path = tmp_path / "u.nii"
