@@ -101,15 +101,11 @@ def _rasterize_tube(
 ) -> None:
     """OR one rib tube into ``bone``; ``mirror`` flips it to the left side.
 
-    ``d2`` holds each pixel's squared distance to the arc samples, over the
-    tube's rectangle.  Each chunk of 64 samples updates only its own window,
-    the pixels within ``r + 1`` of its samples, which lies inside the
-    rectangle.  Pixels outside a chunk's window keep their partial minimum.
-    That is exact for the disc test ``d2 <= r*r - (z - zc)**2``: a pixel
-    within ``r`` of its nearest sample lies in that sample's chunk window,
-    so it gets the same minimum from the same ``dy2 + dx2`` terms, and a
-    pixel whose true minimum exceeds ``r*r`` holds a partial minimum no
-    smaller, so it fails the test on every plane either way.
+    Each chunk of 64 samples lowers ``d2``, the squared distance to the
+    nearest sample, only on its own window, the pixels within ``r + 1`` of
+    its samples; the rest keep their partial minimum.  A pixel within ``r`` of its nearest sample gets the exact
+    minimum from that sample's chunk; any other fails every disc test
+    ``d2 <= r*r - (z - zc)**2`` whatever partial minimum it holds.
     """
     dz, hy, wx = bone.shape
     m = max(16, int(math.ceil(math.pi * max(a, b) / _ARC_STEP)) + 1)
