@@ -52,10 +52,14 @@ formulation.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -135,8 +139,29 @@ def init_params(config: NetConfig, seed: int) -> NetParams:
 # the window; with a one-voxel frame, output columns with y >= H or x >= W
 # read across a row's end and are junk.
 
-_BLOCK_BYTES = 1 << 21  # patch-block budget; step time was flat from 256 KiB to 8 MiB
+# Both budgets are those of one walk over a conv's window; a forward conv on
+# two workers (see :func:`_conv_layer`) splits each between them.
+_BLOCK_BYTES = 1 << 21  # patch-block bytes; the fastest budget differs from conv to conv (ROADMAP Baseline)
 _SLAB_PLANES = 4  # output z planes per forward conv window; 8 took a 32x64x64 peak from 1.24x to 1.40x what it keeps
+
+
+def _front(buf: np.ndarray | None, shape, zero: bool = False) -> np.ndarray:
+    """A float64 array of ``shape`` over the front of the flat buffer ``buf``, or a new one if buf is None.
+
+    Zero-filled if ``zero``, else left as it is.
+    """
+    if buf is None:
+        return np.zeros(shape) if zero else np.empty(shape)
+    a = buf[: math.prod(shape)].reshape(shape)
+    if zero:
+        a.fill(0.0)
+    return a
+
+
+def _block_width(c_in: int, m: int, budget: int) -> int:
+    """Columns of the widest patch block within ``budget`` bytes, and no wider than a walk over
+    ``m`` output columns rounded up to 8 columns (see :func:`_patches`)."""
+    return max(8, min(budget // (72 * c_in), m + 9) & ~7)
 
 
 def _w2(w: np.ndarray) -> np.ndarray:
@@ -150,24 +175,25 @@ def _w2_flipped(w: np.ndarray) -> np.ndarray:
     return _w2(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
 
 
-def _window(x: np.ndarray, lo, hi) -> np.ndarray:
+def _window(x: np.ndarray, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
     """x over the box [lo, hi) with a one-voxel frame and a spare z plane: (C, D+3, H+2, W+2).
 
     The frame holds the real neighbours of the box and zeros where it passes
     a face of the grid, like a same-padded conv; the spare plane is zero.
     So x must cover the box grown by one voxel a side as far as the grid
     goes, and lie inside the grid.  The forward asks for one z-slab of a
-    conv's box at a time, the backward for the whole box.
+    conv's box at a time, filled into the front of ``buf``; the backward
+    asks for the whole box, in a new array.
     """
     n = [b - a for a, b in zip(lo, hi)]
-    xp = np.zeros((x.shape[0], n[0] + 3, n[1] + 2, n[2] + 2))
+    xp = _front(buf, (x.shape[0], n[0] + 3, n[1] + 2, n[2] + 2), zero=True)
     src = [slice(max(a - 1, 0), min(b + 1, s)) for a, b, s in zip(lo, hi, x.shape[1:])]
     dst = [slice(s.start - a + 1, s.stop - a + 1) for s, a in zip(src, lo)]
     xp[(slice(None), *dst)] = x[(slice(None), *src)]
     return xp
 
 
-def _patches(xp: np.ndarray):
+def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
     """Yield (output columns, (9*Ci, 8k) patch block) over the flat window xp, (Ci, Dp, Hp, Wp).
 
     The walk covers output columns [0, (Dp - 3)*Hp*Wp).  Row (dz*3 + dy)*Ci + ci
@@ -177,8 +203,10 @@ def _patches(xp: np.ndarray):
     to that: the BLAS kernel computes a ragged tail of columns with another
     tile, which sums in another order, so without this a column's value would
     depend on where its block ends, and a conv on a box would differ in the
-    last bit from the same conv on the whole grid.  The buffer is reused, so
-    each block must be consumed before the next one is drawn.
+    last bit from the same conv on the whole grid.  The blocks fill the flat
+    buffer ``buf``, at least 72*Ci bytes, as wide as it allows (one of
+    ``_BLOCK_BYTES`` if none is given), and each block must be consumed
+    before the next one is drawn.
     """
     c_in, dp, hp, wp = xp.shape
     m = (dp - 3) * hp * wp
@@ -188,39 +216,43 @@ def _patches(xp: np.ndarray):
         xp, shape=(3, 3, c_in, m + 2), strides=(hp * wp * item, wp * item, xp.strides[0], item),
         writeable=False,
     )
-    # widest block within budget, and no wider than the walk rounded up to 8 columns
-    width = max(8, min(_BLOCK_BYTES // (9 * c_in * item), m + 9) & ~7)
-    buf = np.empty(9 * c_in * width)
+    if buf is None:
+        buf = np.empty(9 * c_in * _block_width(c_in, m, _BLOCK_BYTES))
+    width = min(buf.size // (9 * c_in), m + 9) & ~7
     for q0 in range(0, m, width - 2):
         n = min(width - 2, m - q0)
-        blk = buf[: 9 * c_in * ((n + 9) & ~7)].reshape(3, 3, c_in, -1)
+        blk = _front(buf, (3, 3, c_in, (n + 9) & ~7))
         blk[..., : n + 2] = taps[..., q0 : q0 + n + 2]
         blk[..., n + 2 :] = 0.0
         yield slice(q0, q0 + n), blk.reshape(9 * c_in, -1)
 
 
-def _conv3(xp: np.ndarray, w2: np.ndarray) -> np.ndarray:
+def _conv3(xp: np.ndarray, w2: np.ndarray, bufs=(None, None, None)) -> np.ndarray:
     """3x3x3 conv over a window from :func:`_window` with a (3*Co, 9*Ci) kernel from :func:`_w2`.
 
     Returns the (Co, Dp-3, Hp, Wp) output, junk columns included.  One GEMM
     per patch block gives each dx its own row group; the three are summed at
-    column shifts 0, 1, 2.
+    column shifts 0, 1, 2.  ``bufs`` are flat buffers for the output, the
+    patch blocks and the GEMM output, each filled from its front; a missing
+    one is allocated.
     """
     c_out = w2.shape[0] // 3
     _, dp, hp, wp = xp.shape
-    yp = np.empty((c_out, dp - 3, hp, wp))
+    out_buf, blocks, prods = bufs
+    yp = _front(out_buf, (c_out, dp - 3, hp, wp))
     yf = yp.reshape(c_out, -1)
-    for cols, blk in _patches(xp):
+    for cols, blk in _patches(xp, blocks):
         n = cols.stop - cols.start
-        p = w2 @ blk
+        p = np.matmul(w2, blk, out=None if prods is None else _front(prods, (3 * c_out, blk.shape[1])))
         out = yf[:, cols]
         np.add(p[:c_out, :n], p[c_out : 2 * c_out, 1 : n + 1], out=out)
         out += p[2 * c_out :, 2 : n + 2]
     return yp
 
 
-def _merge_window(skip_src, coarse_src, lo, hi) -> np.ndarray:
-    """The window of a ``.merge`` conv's input over the box [lo, hi), laid out as :func:`_window` lays it out.
+def _merge_window(skip_src, coarse_src, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
+    """The window of a ``.merge`` conv's input over the box [lo, hi), laid out as :func:`_window` lays it out,
+    in the front of ``buf`` if given.
 
     The input is the encoder skip concatenated with the coarse ``.reduce``
     output doubled, each given as ``(array, origin of its box)``.  The skip
@@ -233,7 +265,7 @@ def _merge_window(skip_src, coarse_src, lo, hi) -> np.ndarray:
     """
     (skip, s_lo), (x, x_lo) = skip_src, coarse_src
     cs = skip.shape[0]
-    xp = np.zeros((cs + x.shape[0], *(hi - lo + (3, 2, 2))))
+    xp = _front(buf, (cs + x.shape[0], *(hi - lo + (3, 2, 2))), zero=True)
     a, b = np.maximum(lo - 1, s_lo), np.minimum(hi + 1, s_lo + skip.shape[1:])
     cat = xp[_at(a - lo + 1, b - lo + 1)]
     cat[:cs] = skip[_at(a - s_lo, b - s_lo)]
@@ -246,39 +278,116 @@ def _merge_window(skip_src, coarse_src, lo, hi) -> np.ndarray:
     return xp
 
 
-def _conv_window(src, lo, hi) -> np.ndarray:
+def _conv_window(src, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
     """The window of a conv's input over the box [lo, hi), from the sources its tape record saves.
 
     ``src`` is ``((x, x_lo),)``, the input on a box with origin x_lo, read
     by :func:`_window`; or, for a ``.merge`` conv, ``((skip, s_lo),
     (coarse, c_lo))``, read by :func:`_merge_window`.  Both passes take
-    every conv window from here.
+    every conv window from here, the forward into the front of ``buf``.
     """
     if len(src) == 2:
-        return _merge_window(*src, lo, hi)
+        return _merge_window(*src, lo, hi, buf)
     ((x, x_lo),) = src
-    return _window(x, lo - x_lo, hi - x_lo)
+    return _window(x, lo - x_lo, hi - x_lo, buf)
+
+
+@functools.cache
+def _openblas():
+    """The loaded OpenBLAS's (get, set) thread-count functions, looked up once through ctypes; None if none is found."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, set_ = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+# held from pinning BLAS to one thread until the old count is back, so that
+# concurrent forward calls cannot interleave a pin and a restore
+_BLAS_PIN = threading.Lock()
+
+
+def _two_workers(c_in: int, d: int, h: int, w: int) -> bool:
+    """Whether a forward conv with ``c_in`` input channels on a (d, h, w) box pays for two workers.
+
+    It does when each worker gets a slab and one worker's slab of
+    ``_SLAB_PLANES // 2`` planes holds at least one full block of its half
+    of ``_BLOCK_BYTES``.  Every conv of a 128x128x64 whole-grid forward
+    does; no conv of the desk recipe's box forward does, and two workers
+    there slowed its forward from 22 to 31 ms.
+    """
+    planes = _SLAB_PLANES // 2
+    return d > planes > 0 and planes * (h + 2) * (w + 2) >= (_BLOCK_BYTES // 2) // (72 * c_in)
 
 
 def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padded 3x3x3 conv plus bias, before the ReLU, on the box [lo, hi) of the input that src holds.
 
-    Walks the box in z-slabs of ``_SLAB_PLANES`` output planes, the way
-    patch-based inference runs a layer region by region (Lin et al.,
-    MCUNetV2): each slab's window comes from :func:`_conv_window`,
-    :func:`_conv3` runs on it, and the bias is added into that slab of one
-    compact (Co, D, H, W) output.  So neither the whole window nor a whole
-    output with its junk columns exists.  Every GEMM is a multiple of 8
-    columns wide, so the slab bounds move no output bit.
+    Walks the box in z-slabs of output planes, the way patch-based inference
+    runs a layer region by region (Lin et al., MCUNetV2): each slab's window
+    comes from :func:`_conv_window`, :func:`_conv3` runs on it, and the bias
+    is added into that slab of one compact (Co, D, H, W) output.  So neither
+    the whole window nor a whole output with its junk columns exists.
+
+    A conv large enough to pay for it (see :func:`_two_workers`) runs on two
+    worker threads: worker j takes slabs j, j+2, j+4, ... of
+    ``_SLAB_PLANES // 2`` planes each, with half of ``_BLOCK_BYTES`` for its
+    patch blocks, and writes its own z ranges of the output.  Meanwhile BLAS
+    is pinned to one thread, through the OpenBLAS API, and then set back;
+    without that API the conv keeps one walk.  Any other conv is one walk of
+    ``_SLAB_PLANES``-plane slabs.  Each walk fills one window, one junk-column
+    output, one patch buffer and one GEMM output, allocated here in the
+    calling thread: buffers a worker allocated itself went to glibc's
+    per-thread arenas and took a whole-grid forward's peak RSS from 282 to
+    333 MB.  Every GEMM is a multiple of 8 columns wide, so neither the slab
+    bounds nor the worker count moves an output bit.
     """
+    c_out, c_in = w.shape[:2]
     w2 = _w2(w)
     bias = b[:, None, None, None]
     d, h, w_ = hi - lo
-    y = np.empty((w.shape[0], d, h, w_))
-    for z0 in range(0, d, _SLAB_PLANES):
-        z1 = min(z0 + _SLAB_PLANES, d)
-        yp = _conv3(_conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:]))), w2)
-        np.add(yp[:, :, :h, :w_], bias, out=y[:, z0:z1])
+    y = np.empty((c_out, d, h, w_))
+    blas = _openblas() if _two_workers(c_in, d, h, w_) else None
+    workers = 1 if blas is None else 2
+    planes = max(_SLAB_PLANES // workers, 1)
+    m = planes * (h + 2) * (w_ + 2)
+    width = _block_width(c_in, m, _BLOCK_BYTES // workers)
+
+    def walk(j: int, win: np.ndarray, bufs) -> None:
+        for z0 in range(j * planes, d, workers * planes):
+            z1 = min(z0 + planes, d)
+            yp = _conv3(_conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:])), win), w2, bufs)
+            np.add(yp[:, :, :h, :w_], bias, out=y[:, z0:z1])
+
+    walks = [
+        (j, np.empty(c_in * (planes + 3) * (h + 2) * (w_ + 2)),
+         (np.empty(c_out * m), np.empty(9 * c_in * width), np.empty(3 * c_out * width)))
+        for j in range(workers)
+    ]
+    if blas is None:
+        walk(*walks[0])
+        return y
+    get_threads, set_threads = blas
+    with _BLAS_PIN:
+        threads = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                for done in [pool.submit(walk, *args) for args in walks]:
+                    done.result()
+        finally:
+            set_threads(threads)
     return y
 
 

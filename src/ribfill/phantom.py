@@ -72,6 +72,15 @@ def _validate(spec: PhantomSpec) -> tuple[float, float]:
             raise GeometryError(f"{field} must be an integer, got {getattr(spec, field)!r}") from None
     if spec.seed < 0:
         raise GeometryError(f"seed must be non-negative, got {spec.seed}")
+    try:
+        spacing = [float(s) for s in spec.spacing]
+    except (TypeError, ValueError):
+        spacing = []
+    if len(spacing) != 3 or not all(0.0 < s < math.inf for s in spacing):
+        raise GeometryError(f"spacing must be three positive finite values, got {spec.spacing!r}")
+    for field in ("hu_air", "hu_soft", "hu_bone"):
+        if not math.isfinite(getattr(spec, field)):
+            raise GeometryError(f"{field} must be finite, got {getattr(spec, field)}")
     if spec.rib_pairs < 1:
         raise GeometryError(f"need at least one rib pair, got {spec.rib_pairs}")
     # written as "not (valid)" so that NaN, which fails every comparison, is rejected

@@ -6,6 +6,8 @@ import itertools
 import math
 import signal
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -556,6 +558,92 @@ def test_forward_streams_each_conv_window_in_slabs(monkeypatch):
             while isinstance(a.base, np.ndarray):
                 a = a.base
             assert a.nbytes < window, (op, layer, a.shape)
+
+
+def _forward_bytes(params, vol):
+    """The output of a whole-grid forward, every conv mask and every pool winner, as bytes."""
+    out, tape = forward(params, vol)
+    saved = [s[1] if op == "conv" else s for op, _, _, s in tape.records if op in ("conv", "pool")]
+    return [out.data.tobytes()] + [a.tobytes() for a in saved]
+
+
+def _pinnable_blas():
+    blas = netmod._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count API: the forward never runs two workers")
+    return blas
+
+
+def test_two_worker_convs_pin_blas_to_one_thread_and_restore_it(monkeypatch):
+    """Forced onto two workers, every forward conv GEMM runs off the calling thread with one BLAS
+    thread; the old count is back after forward returns and after a worker raises.  Without the
+    OpenBLAS API the forward keeps one walk on the calling thread, with the same bytes."""
+    get_threads, set_threads = _pinnable_blas()
+    params = init_params(NetConfig(depth=2, base_channels=2), seed=3)
+    vol = unit_volume(np.random.default_rng(30), (12, 8, 16))
+    monkeypatch.setattr(netmod, "_two_workers", lambda *_: True)
+    conv3 = netmod._conv3
+    seen = []
+
+    def spy(*args):
+        seen.append((threading.get_ident(), get_threads()))
+        if len(seen) == fail_at:
+            raise RuntimeError("worker failed")
+        return conv3(*args)
+
+    monkeypatch.setattr(netmod, "_conv3", spy)
+    caller = threading.get_ident()
+    before = get_threads()
+    set_threads(2)
+    try:
+        fail_at = 0
+        two = _forward_bytes(params, vol)
+        assert get_threads() == 2
+        assert seen and all(t != caller and n == 1 for t, n in seen)
+        seen.clear()
+        fail_at = 2
+        with pytest.raises(RuntimeError, match="worker failed"):
+            forward(params, vol)
+        assert get_threads() == 2
+        seen.clear()
+        fail_at = 0
+        monkeypatch.setattr(netmod, "_openblas", lambda: None)
+        assert _forward_bytes(params, vol) == two
+        assert seen and all(t == caller and n == 2 for t, n in seen)
+    finally:
+        set_threads(before)
+
+
+def test_concurrent_forwards_keep_their_bytes_and_the_blas_thread_count(monkeypatch):
+    """Four threads run two-worker forwards at once: each output equals the serial one, and the
+    lock around the pin leaves the BLAS thread count as it found it."""
+    get_threads, set_threads = _pinnable_blas()
+    params = init_params(NetConfig(depth=1, base_channels=2), seed=4)
+    vol = unit_volume(np.random.default_rng(31), (8, 6, 10))
+    monkeypatch.setattr(netmod, "_two_workers", lambda *_: True)
+    ref = _forward_bytes(params, vol)
+    results = []
+
+    def run():
+        for _ in range(3):
+            results.append(_forward_bytes(params, vol))
+
+    before = get_threads()
+    interval = sys.getswitchinterval()
+    set_threads(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert get_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_threads(before)
+    assert results == [ref] * 12
 
 
 def test_adam_worked_example():

@@ -1,13 +1,14 @@
 """Generated properties of the box engine: demand boxes, box forward, support-box backward.
 
-Hypothesis draws the net, the grid, the boxes, the input and the depth of
-the forward's conv slabs.  The profile registered in conftest derandomizes
+Hypothesis draws the net, the grid, the boxes, the input, the depth of the
+forward's conv slabs and, for the worker walks, the patch-block budget.  The profile registered in conftest derandomizes
 it, so every run checks the same examples.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,3 +130,26 @@ def test_output_on_a_box_ignores_the_input_outside_its_cone(case):
         out, _ = forward(params, vol, _box(lo, hi))
         moved, _ = forward(params, Volume(data, S, UNIT))
     assert moved.data[_sl(lo, hi)].tobytes() == out.data.tobytes()
+
+
+@pytest.mark.skipif(netmod._openblas() is None, reason="no OpenBLAS thread-count API: the forward never runs two workers")
+@settings(max_examples=30)
+@given(_cases(), st.integers(1 << 9, 1 << 21))
+def test_two_worker_walk_equals_the_one_worker_walk(case, block_bytes):
+    """Forward output, every mask, every pool winner and every gradient are byte-equal whether
+    each forward conv runs one walk or two workers, at any slab depth and block budget."""
+    params, vol, (lo, hi), (s_lo, s_hi), slab, rng = case
+    g = np.zeros(tuple(hi - lo))
+    g[_sl(s_lo, s_hi)] = rng.normal(size=tuple(s_hi - s_lo))
+    runs = []
+    for two in (False, True):
+        with (
+            mock.patch.object(netmod, "_SLAB_PLANES", slab),
+            mock.patch.object(netmod, "_BLOCK_BYTES", block_bytes),
+            mock.patch.object(netmod, "_two_workers", lambda *_, two=two: two),
+        ):
+            out, tape = forward(params, vol, _box(lo, hi))
+            grads = backward(tape, Volume(g, S))
+        saved = [s[1] if op == "conv" else s for op, _, _, s in tape.records if op in ("conv", "pool")]
+        runs.append([a.tobytes() for a in (out.data, *saved, *(grads[k] for k in sorted(grads)))])
+    assert runs[0] == runs[1]

@@ -96,6 +96,28 @@ def test_fields_that_are_not_whole_numbers_rejected_by_name(bad, field):
         generate_phantom(PhantomSpec(**bad))
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"spacing": (0.0, 1.0, 1.0)}, "spacing"),
+        ({"spacing": (1.0, -2.0, 1.0)}, "spacing"),
+        ({"spacing": (1.0, 1.0, math.nan)}, "spacing"),
+        ({"spacing": (math.inf, 1.0, 1.0)}, "spacing"),
+        ({"spacing": (1.0, 1.0)}, "spacing"),
+        ({"hu_air": math.nan}, "hu_air"),
+        ({"hu_soft": math.inf}, "hu_soft"),
+        ({"hu_bone": math.nan}, "hu_bone"),
+    ],
+)
+def test_bad_spacing_and_hu_levels_rejected_by_name_before_rendering(monkeypatch, bad, field):
+    def render(spec):
+        raise AssertionError("rendered a phantom whose spec is invalid")
+
+    monkeypatch.setattr(phantom, "_bone_stencil", render)
+    with pytest.raises(GeometryError, match=field):
+        generate_phantom(PhantomSpec(**bad))
+
+
 def test_numpy_integer_fields_accepted():
     plain = PhantomSpec(dims=(64, 48, 32), rib_pairs=5, seed=3)
     numpy = PhantomSpec(dims=(np.int64(64), np.int32(48), np.int16(32)), rib_pairs=np.int64(5), seed=np.uint32(3))
