@@ -9,18 +9,25 @@ operation ever appears.  The forward runs each conv in z-slabs of a few
 output planes: it builds one slab's window, convolves it and adds the bias
 into that slab of one compact output, which it then clamps in place for the
 ReLU, so a whole window or a whole output with its junk columns never
-exists.  Downsampling is 2x2x2 max pooling (ties go to the first maximal
-voxel in canonical x-fastest scan order), upsampling is nearest-neighbour
-doubling.  Each decoder level halves the channel count with a conv while
-still at the coarse resolution, then merges the encoder skip and the
-doubled grid with another conv.  That merge input never exists whole
-either: each of the merge conv's windows is filled from the skip and the
-coarse output, the way memory-efficient DenseNets build their
-concatenations in a shared buffer (Pleiss et al., 2017).  The skip is
-copied into the first channels, and the coarse output is written into the
-rest by eight strided copies, one per parity class of voxels, so no
-upsampled or concatenated array exists.  The head is a 1x1x1 conv squashed
-in place by a sigmoid, so outputs live strictly inside (0, 1).
+exists.  A conv whose slab of half that depth still holds a full patch
+block of half the block budget, as every conv of a 128x128x64 whole-grid
+forward does, splits its slabs between two worker threads, each with its
+own buffers and one half of each budget.  OpenBLAS is pinned to one thread
+while they run: with its two threads under the two workers, that forward
+took 1.6-2.2 s against 1.1-1.4 s for one walk.  Smaller convs, such as
+all of a desk-sized box forward's, keep one walk.  Downsampling is 2x2x2
+max pooling (ties go to the first maximal voxel in canonical x-fastest
+scan order), upsampling is nearest-neighbour doubling.  Each decoder level
+halves the channel count with a conv while still at the coarse resolution,
+then merges the encoder skip and the doubled grid with another conv.  That
+merge input never exists whole either: each of the merge conv's windows is
+filled from the skip and the coarse output, the way memory-efficient
+DenseNets build their concatenations in a shared buffer (Pleiss et al.,
+2017).  The skip is copied into the first channels, and the coarse output
+is written into the rest by eight strided copies, one per parity class of
+voxels, so no upsampled or concatenated array exists.  The head is a 1x1x1
+conv squashed in place by a sigmoid, so outputs live strictly inside
+(0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
 (Ren et al., SBNet), and both take their boxes from one reverse walk of the
@@ -204,7 +211,7 @@ def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
     tile, which sums in another order, so without this a column's value would
     depend on where its block ends, and a conv on a box would differ in the
     last bit from the same conv on the whole grid.  The blocks fill the flat
-    buffer ``buf``, at least 72*Ci bytes, as wide as it allows (one of
+    buffer ``buf``, of at least 72*Ci floats, as wide as it allows (one of
     ``_BLOCK_BYTES`` if none is given), and each block must be consumed
     before the next one is drawn.
     """
@@ -324,8 +331,8 @@ def _two_workers(c_in: int, d: int, h: int, w: int) -> bool:
     It does when each worker gets a slab and one worker's slab of
     ``_SLAB_PLANES // 2`` planes holds at least one full block of its half
     of ``_BLOCK_BYTES``.  Every conv of a 128x128x64 whole-grid forward
-    does; no conv of the desk recipe's box forward does, and two workers
-    there slowed its forward from 22 to 31 ms.
+    does; no conv of the desk recipe's 16^3 box forward does, and two
+    workers on every conv there took that forward from 31 to 64 ms.
     """
     planes = _SLAB_PLANES // 2
     return d > planes > 0 and planes * (h + 2) * (w + 2) >= (_BLOCK_BYTES // 2) // (72 * c_in)
@@ -349,9 +356,10 @@ def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarra
     ``_SLAB_PLANES``-plane slabs.  Each walk fills one window, one junk-column
     output, one patch buffer and one GEMM output, allocated here in the
     calling thread: buffers a worker allocated itself went to glibc's
-    per-thread arenas and took a whole-grid forward's peak RSS from 282 to
-    333 MB.  Every GEMM is a multiple of 8 columns wide, so neither the slab
-    bounds nor the worker count moves an output bit.
+    per-thread arenas and took the peak RSS of four 128x128x64 whole-grid
+    forwards from 273 to 299 MB.  Every GEMM is a multiple of 8 columns
+    wide, so neither the slab bounds nor the worker count moves an output
+    bit.
     """
     c_out, c_in = w.shape[:2]
     w2 = _w2(w)

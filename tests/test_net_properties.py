@@ -132,7 +132,9 @@ def test_output_on_a_box_ignores_the_input_outside_its_cone(case):
     assert moved.data[_sl(lo, hi)].tobytes() == out.data.tobytes()
 
 
-@pytest.mark.skipif(netmod._openblas() is None, reason="no OpenBLAS thread-count API: the forward never runs two workers")
+@pytest.mark.skipif(
+    netmod._openblas() is None, reason="no OpenBLAS thread-count API: the forward never runs two workers"
+)
 @settings(max_examples=30)
 @given(_cases(), st.integers(1 << 9, 1 << 21))
 def test_two_worker_walk_equals_the_one_worker_walk(case, block_bytes):
