@@ -31,6 +31,7 @@ from .defects import (
 from .grid import UNIT, Mask, Volume, binarize
 from .losses import LOSS_KINDS, finite_diff_check
 from .manifest import CaseManifest, ManifestError, read_manifest, write_manifest
+from .metrics import EmptyMaskError
 from .net import NetConfig, OptState, load_checkpoint, save_checkpoint
 from .nifti import read_volume, write_volume
 from .phantom import PhantomSpec, generate_phantom
@@ -171,7 +172,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         cid, case = _load_case(p)
         ids.append(cid)
         cases.append(case)
-    reports = evaluate(params, cases, threshold=args.threshold, percentile=args.percentile)
+    try:
+        reports = evaluate(params, cases, threshold=args.threshold, percentile=args.percentile)
+    except EmptyMaskError as exc:
+        raise EmptyMaskError(f"{args.manifests[exc.case]}: {exc}", exc.case) from None
     table = out / "metrics.csv"
     table.write_text(eval_csv(ids, reports), encoding="utf-8")
     print(f"wrote {table}")

@@ -26,7 +26,11 @@ _MINPLUS_BYTES = 32 << 20  # budget for one (rows, n, n) min-plus block of an ED
 
 
 class EmptyMaskError(ValueError):
-    """Raised when a surface metric is asked about a mask with no voxels."""
+    """A surface metric was asked about a mask with no voxels; ``case`` is the evaluated case's index, if known."""
+
+    def __init__(self, message: str, case: int | None = None) -> None:
+        super().__init__(message)
+        self.case = case
 
 
 @dataclass(frozen=True)

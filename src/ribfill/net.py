@@ -24,10 +24,10 @@ merge input never exists whole either: each of the merge conv's windows is
 filled from the skip and the coarse output, the way memory-efficient
 DenseNets build their concatenations in a shared buffer (Pleiss et al.,
 2017).  The skip is copied into the first channels, and the coarse output
-is written into the rest by eight strided copies, one per parity class of
-voxels, so no upsampled or concatenated array exists.  The head is a 1x1x1
-conv squashed in place by a sigmoid, so outputs live strictly inside
-(0, 1).
+is written into the rest by one strided copy per parity class of voxels,
+so no upsampled or concatenated array exists; the backward of the join and
+of the pool walk the same eight classes.  The head is a 1x1x1 conv
+squashed in place by a sigmoid, so outputs live strictly inside (0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
 (Ren et al., SBNet), and both take their boxes from one reverse walk of the
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
 import math
 import os
 import struct
@@ -257,6 +256,17 @@ def _conv3(xp: np.ndarray, w2: np.ndarray, bufs=(None, None, None)) -> np.ndarra
     return yp
 
 
+def _parities(lo, hi):
+    """Yield (index, coarse lo, coarse hi) for each parity class r = (rz, ry, rx) of the grid's voxels in [lo, hi).
+
+    Class k = 4*rz + 2*ry + rx comes k-th.  The index picks the class out of a (C, ...) array over
+    the box; coarse voxel c holds fine voxel 2c + r, so the class lies in [coarse lo, coarse hi)."""
+    r = np.indices((2, 2, 2)).reshape(3, 8).T  # the eight r in scan order: one (8, 3) op per bound, not eight small ones
+    c_lo, c_hi = (lo - r + 1) >> 1, (hi - r + 1) >> 1
+    for first, a, b in zip((2 * c_lo + r - lo).tolist(), c_lo, c_hi):
+        yield (slice(None), *(slice(f, None, 2) for f in first)), a, b
+
+
 def _merge_window(skip_src, coarse_src, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
     """The window of a ``.merge`` conv's input over the box [lo, hi), laid out as :func:`_window` lays it out,
     in the front of ``buf`` if given.
@@ -264,10 +274,10 @@ def _merge_window(skip_src, coarse_src, lo, hi, buf: np.ndarray | None = None) -
     The input is the encoder skip concatenated with the coarse ``.reduce``
     output doubled, each given as ``(array, origin of its box)``.  The skip
     is copied into the first channels, and the coarse output is written into
-    the rest by eight strided copies, one per parity class of voxels, so no
-    upsampled or concatenated array exists.  Both are filled on the box grown
-    by one voxel a side as far as the skip's box goes: that box lies inside
-    the grid and holds the merge box grown that way, so the frame holds real
+    the rest by a strided copy per :func:`_parities` class, so no upsampled
+    or concatenated array exists.  Both are filled on the box grown by one
+    voxel a side as far as the skip's box goes: that box lies inside the
+    grid and holds the merge box grown that way, so the frame holds real
     neighbours and stays zero only at faces of the grid.
     """
     (skip, s_lo), (x, x_lo) = skip_src, coarse_src
@@ -276,12 +286,9 @@ def _merge_window(skip_src, coarse_src, lo, hi, buf: np.ndarray | None = None) -
     a, b = np.maximum(lo - 1, s_lo), np.minimum(hi + 1, s_lo + skip.shape[1:])
     cat = xp[_at(a - lo + 1, b - lo + 1)]
     cat[:cs] = skip[_at(a - s_lo, b - s_lo)]
-    # nearest-neighbour doubling, one parity class per axis at a time:
-    # voxel a + j reads coarse voxel ((a + r) >> 1) + j // 2, r = j % 2
-    for r in itertools.product((0, 1), repeat=3):
-        src = ((a + r) >> 1) - x_lo
-        n = (b - a - r + 1) >> 1
-        cat[(slice(cs, None), *(slice(q, None, 2) for q in r))] = x[_at(src, src + n)]
+    up = cat[cs:]
+    for cells, c_lo, c_hi in _parities(a, b):
+        up[cells] = x[_at(c_lo - x_lo, c_hi - x_lo)]
     return xp
 
 
@@ -459,16 +466,29 @@ def _maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _maxpool2_grad(gy: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    c, d2, h2, w2 = gy.shape
-    gc = np.zeros((c, d2, h2, w2, 8))
-    np.put_along_axis(gc, idx[..., None].astype(np.intp), gy[..., None], axis=-1)
-    gx = gc.reshape(c, d2, h2, w2, 2, 2, 2).transpose(0, 1, 4, 2, 5, 3, 6)
-    return np.ascontiguousarray(gx).reshape(c, d2 * 2, h2 * 2, w2 * 2)
+    """Input gradient of :func:`_maxpool2`: gy at each block's winner, +0.0 at the other seven voxels,
+    by one strided write per :func:`_parities` class k, the block offset that winner index k encodes."""
+    gx = np.empty((gy.shape[0], *(2 * np.array(gy.shape[1:]))))
+    for k, (cells, _, _) in enumerate(_parities(np.zeros(3, dtype=int), np.array(gx.shape[1:]))):
+        gx[cells] = np.where(idx == k, gy, 0.0)
+    return gx
 
 
-def _upsample2_grad(gy: np.ndarray) -> np.ndarray:
-    c, d, h, w = gy.shape
-    return gy.reshape(c, d // 2, 2, h // 2, 2, w // 2, 2).sum(axis=(2, 4, 6))
+def _doubling_grad(g: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of the coarse output a ``cat`` doubles: g, on the fine box from lo, summed into the coarse box [a, b).
+
+    Each coarse voxel adds its fine voxels' gradients x pair by x pair, then
+    the four pair sums in (z, y) scan order, whatever the box, so a box's
+    gradient is byte-equal to the same box of the whole grid's.
+    """
+    gc = np.zeros((g.shape[0], *(b - a)))
+    classes = list(_parities(lo, lo + g.shape[1:]))
+    for x_pair in zip(classes[::2], classes[1::2]):
+        pair = np.zeros_like(gc)
+        for cells, c_lo, c_hi in x_pair:
+            pair[_at(c_lo - a, c_hi - a)] += g[cells]
+        gc += pair
+    return gc
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -497,10 +517,10 @@ def _demand(config: NetConfig, dims, lo: np.ndarray, hi: np.ndarray) -> list[tup
     ``dims`` is the (D, H, W) grid.  Walks the records in reverse from the
     head with three rules, used by both :func:`forward` and :func:`backward`:
     a 3x3x3 conv needs its box grown by one voxel a side, clipped to its
-    level's grid; ``up`` needs it aligned to even bounds and halved; ``pool``
-    needs it doubled.  ``cat`` and ``head`` keep it.  The skip a ``cat``
-    reads needs no rule of its own: twice the matching pool's box always
-    holds it, since the cone through the coarser levels only widens.
+    level's grid; ``cat``, the join, needs it halved outward; ``pool`` needs
+    it doubled.  ``head`` keeps it.  The skip a ``cat`` reads needs no rule
+    of its own: twice the matching pool's box always holds it, since the
+    cone through the coarser levels only widens.
     """
     grid = np.array(dims)
     boxes: list[tuple[np.ndarray, np.ndarray]] = []
@@ -511,8 +531,8 @@ def _demand(config: NetConfig, dims, lo: np.ndarray, hi: np.ndarray) -> list[tup
         boxes.append((lo, hi))
         if layer != "head":
             lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, grid)
-        if layer.endswith(".merge"):  # the cat and up before it
-            boxes += [(lo, hi), (lo, hi)]
+        if layer.endswith(".merge"):  # the cat before it
+            boxes.append((lo, hi))
             lo, hi, grid = lo >> 1, (hi + 1) >> 1, grid >> 1
     return boxes[::-1]
 
@@ -524,14 +544,14 @@ class Tape:
     ``records`` holds one ``(op, layer, lo, saved)`` entry per layer in
     execution order, where ``lo`` is the grid origin of the layer's output
     box, the record's box from :func:`_demand`: ``conv`` saves ``(src,
-    mask)``, ``pool`` its winner indices, ``up`` nothing, ``cat`` the skip's
-    channel count and ``head`` its input.  A conv's mask is its ReLU mask,
-    and src holds the sources :func:`_conv_window` builds its windows from:
-    ``((x, x_lo),)``, its input and that input's origin, or for a ``.merge``
-    conv the skip and the coarse ``.reduce`` output with their origins.  So
-    the skip stays on the tape, and the merge input exists only one window
-    at a time.  ``out`` is the sigmoid output on the box the forward was
-    asked for, (1, D, H, W).
+    mask)``, ``pool`` its winner indices, ``cat`` the skip's channel count
+    and ``head`` its input.  A conv's mask is its ReLU mask, and src holds
+    the sources :func:`_conv_window` builds its windows from: ``((x,
+    x_lo),)``, its input and that input's origin, or for a ``.merge`` conv
+    the skip and the coarse ``.reduce`` output with their origins.  So the
+    skip stays on the tape, and the merge input exists only one window at a
+    time.  ``out`` is the sigmoid output on the box the forward was asked
+    for, (1, D, H, W).
     """
 
     params: NetParams
@@ -592,10 +612,8 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
 
     for i in reversed(range(cfg.depth)):
         x, o = conv(((x, o),), f"dec{i}.reduce")
-        lo = boxes[len(records)][0]  # up and cat
         skip, s_lo = skips.pop()
-        records.append(("up", f"dec{i}", lo, None))
-        records.append(("cat", f"dec{i}", lo, skip.shape[0]))
+        records.append(("cat", f"dec{i}", boxes[len(records)][0], skip.shape[0]))
         x, o = conv(((skip, s_lo), (x, o)), f"dec{i}.merge")
 
     records.append(("head", "head", o, x))
@@ -622,13 +640,6 @@ def _support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _pad_to(g: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """g, whose box starts at lo, zero-extended to the enclosing box [a, b)."""
-    out = np.zeros((g.shape[0], *(b - a)))
-    out[_at(lo - a, lo - a + g.shape[1:])] = g
-    return out
-
-
 def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     """Parameter gradients given d(loss)/d(output); pairs with :func:`forward`.
 
@@ -642,9 +653,10 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     input's window, whose one-voxel halo holds real neighbours and zeros
     only at grid faces; its input gradient convolves the same zero-framed
     copy of the gradient, exact since the gradient vanishes outside its box.
-    ``cat`` pushes the skip's gradient and the matching ``pool`` adds it
-    into the winners' gradient.  ``grad_out`` must match the dims of the
-    tape's output; a tape can be walked repeatedly.
+    ``cat`` pushes the skip's gradient, which the matching ``pool`` adds
+    into the winners' gradient, and sums the rest into the coarse box (see
+    :func:`_doubling_grad`).  ``grad_out`` must match the dims of the tape's
+    output; a tape can be walked repeatedly.
     """
     if grad_out.data.shape != tape.out.shape[1:]:
         raise ShapeError(
@@ -688,10 +700,7 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
                 g = gx[:, :, s[1] : e[1], s[2] : e[2]]
         elif op == "cat":
             skip_grads.append((g[:saved], lo))
-            g = g[saved:]
-        elif op == "up":
-            a, b = boxes[k - 1]
-            g = _upsample2_grad(_pad_to(g, lo, 2 * a, 2 * b))
+            g = _doubling_grad(g[saved:], lo, *boxes[k - 1])
         else:  # pool
             skip, skip_lo = skip_grads.pop()
             g = _maxpool2_grad(g, saved[_at(lo - o, hi - o)])

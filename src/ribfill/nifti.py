@@ -153,6 +153,8 @@ def read_volume(path: str | Path, domain: str | None = None) -> tuple[Volume, Vo
         dom = UNIT if domain is None else domain
     else:
         arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise NiftiError("data", "payload holds a non-finite value")
         dom = UNBOUNDED if domain is None else domain
     if dom not in DOMAINS:
         raise DomainError(f"unknown value domain {dom!r}")

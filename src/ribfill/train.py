@@ -25,7 +25,7 @@ import numpy as np
 from .defects import TrainingCase
 from .grid import Box, DomainError, binarize, crop
 from .losses import DEFECT_CROP, FULL_VOLUME, LossReport, _components, loss_gradient, rib_loss
-from .metrics import MetricReport, metric_report
+from .metrics import EmptyMaskError, MetricReport, metric_report
 from .net import NetConfig, NetParams, OptState, adam_step, backward, forward, init_params
 
 
@@ -135,14 +135,16 @@ def evaluate(
 ) -> list[MetricReport]:
     """Binarise each prediction on its defect crop and score against truth.
 
-    An all-background prediction crop has no surface and raises through
-    the Hausdorff machinery rather than scoring a made-up distance.
+    An all-background prediction crop has no surface: rather than score a made-up
+    distance, this raises :class:`EmptyMaskError` naming the case's index and the threshold.
     """
     out: list[MetricReport] = []
-    for case in cases:
+    for i, case in enumerate(cases):
         pred = binarize(forward(params, case.defective, case.box)[0], threshold)
-        truth = crop(case.implant, case.box)
-        out.append(metric_report(pred, truth, percentile))
+        try:
+            out.append(metric_report(pred, crop(case.implant, case.box), percentile))
+        except EmptyMaskError as exc:
+            raise EmptyMaskError(f"case {i} at threshold {threshold!r}: {exc}", case=i) from None
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from ribfill.cli import main
 from ribfill.losses import LOSS_KINDS
 from ribfill.manifest import read_manifest
+from ribfill.net import NetConfig, OptState, init_params, save_checkpoint
 from ribfill.nifti import read_volume
 
 
@@ -146,6 +147,23 @@ def test_eval_rejects_foreign_checkpoint(tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_eval_names_the_manifest_of_an_empty_prediction(tmp_path, capsys):
+    run_phantom(tmp_path)
+    prep = tmp_path / "prep"
+    run_prep(prep, [tmp_path / "case000_ct.nii"])
+    params = init_params(NetConfig(depth=1, base_channels=2), seed=0)
+    params.tensors["head.b"][:] = -50.0  # every output is far below the 0.5 threshold
+    checkpoint = tmp_path / "checkpoint.bin"
+    save_checkpoint(checkpoint, params, OptState())
+    manifest = prep / "case000.manifest"
+    run_dir = tmp_path / "run"
+    code = main(["eval", str(manifest), "--checkpoint", str(checkpoint), "--out-dir", str(run_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: case 0 at threshold 0.5: ")
+    assert not (run_dir / "metrics.csv").exists()
 
 
 def test_gradcheck_passes_by_default(capsys):

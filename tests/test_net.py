@@ -216,9 +216,7 @@ def _dense_backward(tape, grad_out):
             g = gxp[:, 1:-1, 1:-1, 1:-1]
         elif op == "cat":
             skips.append(g[:saved])
-            g = g[saved:]
-        elif op == "up":
-            g = sum(g[:, a::2, b::2, c::2] for a, b, c in itertools.product(range(2), repeat=3))
+            g = sum(g[saved:, a::2, b::2, c::2] for a, b, c in itertools.product(range(2), repeat=3))
         else:  # pool: winner k = dz*4 + dy*2 + dx
             c, d, h, w_ = g.shape
             gx = np.zeros((c, 2 * d, 2 * h, 2 * w_))
@@ -230,7 +228,7 @@ def _dense_backward(tape, grad_out):
 
 # (z, y, x) bounds [lo, hi) of the output gradient's support on a 16x8x24
 # (D, H, W) grid: one box on each face, a corner, an odd origin and size (so
-# up and pool must align the box), one voxel, the whole grid, and no support
+# cat and pool must align the box), one voxel, the whole grid, and no support
 _BOXES = {
     "z-low": ((0, 2, 5), (5, 6, 12)),
     "z-high": ((11, 2, 5), (16, 6, 12)),
@@ -312,11 +310,9 @@ def test_desk_box_demand_cone():
         ("pool", "enc1", [0, 4, 8], [8, 15, 16]),
         ("conv", "bott", [1, 5, 9], [8, 14, 16]),
         ("conv", "dec1.reduce", [2, 6, 10], [8, 13, 16]),
-        ("up", "dec1", [5, 12, 20], [16, 26, 32]),
         ("cat", "dec1", [5, 12, 20], [16, 26, 32]),
         ("conv", "dec1.merge", [6, 13, 21], [16, 25, 32]),
         ("conv", "dec0.reduce", [7, 14, 22], [16, 24, 32]),
-        ("up", "dec0", [15, 29, 45], [32, 47, 63]),
         ("cat", "dec0", [15, 29, 45], [32, 47, 63]),
         ("conv", "dec0.merge", [16, 30, 46], [32, 46, 62]),
         ("head", "head", [16, 30, 46], [32, 46, 62]),
@@ -423,7 +419,6 @@ def _forward_ref(params, vol, box):
         x, o = conv(x, o, f"dec{i}.reduce")
         lo, hi = boxes[len(records)]
         x = _upsample2_ref(x)[netmod._at(lo - 2 * o, hi - 2 * o)]
-        records.append(("up", f"dec{i}", lo, None))
         skip, s_lo = skips.pop()
         x = np.concatenate([skip[netmod._at(lo - s_lo, hi - s_lo)], x], axis=0)
         records.append(("cat", f"dec{i}", lo, skip.shape[0]))

@@ -1,10 +1,11 @@
-"""Generated properties of the box engine: demand boxes, box forward, support-box backward.
+"""Generated properties of the box engine: demand boxes, parity classes, box forward, support-box backward.
 
 Hypothesis draws the net, the grid, the boxes, the input, the depth of the
 forward's conv slabs and, for the worker walks, the patch-block budget.  The profile registered in conftest derandomizes
 it, so every run checks the same examples.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -79,7 +80,7 @@ def _levels(depth):
         levels += [i, i + 1]  # enc conv, pool
     levels.append(depth)  # bott
     for i in reversed(range(depth)):
-        levels += [i + 1, i, i, i]  # reduce, up, cat, merge
+        levels += [i + 1, i, i]  # reduce, cat, merge
     return levels + [0]  # head
 
 
@@ -155,3 +156,76 @@ def test_two_worker_walk_equals_the_one_worker_walk(case, block_bytes):
         saved = [s[1] if op == "conv" else s for op, _, _, s in tape.records if op in ("conv", "pool")]
         runs.append([a.tobytes() for a in (out.data, *saved, *(grads[k] for k in sorted(grads)))])
     assert runs[0] == runs[1]
+
+
+def _fine_boxes():
+    """A box [lo, hi) anywhere on a grid, odd bounds and one-voxel extents included."""
+    axis = st.tuples(st.integers(0, 21), st.integers(1, 6))
+    return st.tuples(axis, axis, axis).map(lambda b: (np.array([a for a, _ in b]), np.array([a + n for a, n in b])))
+
+
+@settings(max_examples=200)
+@given(_fine_boxes())
+def test_parity_classes_partition_a_box_and_find_their_coarse_voxels(box):
+    lo, hi = box
+    fine = np.indices(tuple(hi - lo)) + lo[:, None, None, None]  # each voxel's grid coordinates
+    hits = np.zeros(tuple(hi - lo), dtype=int)
+    for k, (cells, c_lo, c_hi) in enumerate(netmod._parities(lo, hi)):
+        r = np.array((k >> 2, (k >> 1) & 1, k & 1))
+        v = fine[cells]
+        hits[cells[1:]] += 1
+        assert np.all(v & 1 == r[:, None, None, None]), (k, lo, hi)
+        # voxel v lies in coarse voxel v >> 1, and the class's coarse voxels fill [c_lo, c_hi) in order
+        coarse = np.indices(tuple(c_hi - c_lo)) + c_lo[:, None, None, None]
+        assert np.array_equal(v >> 1, coarse), (k, lo, hi)
+        assert np.all(lo >> 1 <= c_lo) and np.all(c_lo <= c_hi) and np.all(c_hi <= (hi + 1) >> 1), (k, lo, hi)
+    assert np.all(hits == 1)
+
+
+def _maxpool2_grad_scatter(gy, idx):
+    """The pool gradient as a scatter into an (..., 8) buffer of block candidates, then a transpose."""
+    c, d2, h2, w2 = gy.shape
+    gc = np.zeros((c, d2, h2, w2, 8))
+    np.put_along_axis(gc, idx[..., None].astype(np.intp), gy[..., None], axis=-1)
+    gx = gc.reshape(c, d2, h2, w2, 2, 2, 2).transpose(0, 1, 4, 2, 5, 3, 6)
+    return np.ascontiguousarray(gx).reshape(c, d2 * 2, h2 * 2, w2 * 2)
+
+
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=100)
+@given(st.tuples(*(st.integers(1, 4) for _ in range(4))), st.integers(0, 2**32 - 1))
+def test_pool_gradient_equals_the_scatter_bitwise(shape, seed):
+    """On every winner index, and on gradients holding +-0, NaN and +-inf."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, 8, size=shape).astype(np.uint8)
+    idx.flat[: min(8, idx.size)] = rng.permutation(8)[: idx.size]
+    gy = rng.normal(size=shape)
+    special = rng.uniform(size=shape) < 0.5
+    gy[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+    assert netmod._maxpool2_grad(gy, idx).tobytes() == _maxpool2_grad_scatter(gy, idx).tobytes()
+
+
+def _doubling_grad_padded(g, lo):
+    """g zero-padded to the even-aligned box, then each 2x2x2 block summed x pair first, then the pairs in scan order."""
+    a, b = lo >> 1, (lo + g.shape[1:] + 1) >> 1
+    pad = np.zeros((g.shape[0], *(2 * (b - a))))
+    pad[netmod._at(lo - 2 * a, lo - 2 * a + g.shape[1:])] = g
+    t = [pad[:, rz::2, ry::2, rx::2] for rz, ry, rx in itertools.product((0, 1), repeat=3)]
+    pairs = [t[i] + t[i + 1] for i in range(0, 8, 2)]
+    return ((pairs[0] + pairs[1]) + pairs[2]) + pairs[3]
+
+
+@settings(max_examples=150)
+@given(_fine_boxes(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_doubling_gradient_equals_the_padded_block_sum(box, channels, seed):
+    """Equal to the padded reference, +0 and -0 counted as equal, on any box: odd bounds, one voxel wide."""
+    lo, hi = box
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(channels, *(hi - lo))) * 10.0 ** rng.integers(-8, 9, size=(channels, *(hi - lo)))
+    g[rng.uniform(size=g.shape) < 0.2] = -0.0
+    got = netmod._doubling_grad(g, lo, lo >> 1, (hi + 1) >> 1)
+    ref = _doubling_grad_padded(g, lo)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref), (lo, hi)  # == treats -0.0 and +0.0 as equal

@@ -124,6 +124,9 @@ def test_read_rejects_corruption(tmp_path):
         (112, -1.0, "scl_slope"),
         (112, float("nan"), "scl_slope"),
         (116, 5.0, "scl_inter"),
+        (DATA_OFFSET, float("nan"), "data: payload holds a non-finite value"),
+        (DATA_OFFSET + 8, float("inf"), "data: payload holds a non-finite value"),
+        (DATA_OFFSET + 4 * 26, float("-inf"), "data: payload holds a non-finite value"),
     ]:
         tweaked = bytearray(raw)
         struct.pack_into("<f", tweaked, offset, value)

@@ -169,8 +169,9 @@ def test_evaluate_scores_each_case_on_its_crop():
 def test_evaluate_empty_prediction_raises():
     case = tiny_case()
     params = init_params(CFG, seed=0)
-    with pytest.raises(EmptyMaskError):
+    with pytest.raises(EmptyMaskError, match=r"^case 0 at threshold 0\.99: ") as exc:
         evaluate(params, [case], threshold=0.99)
+    assert exc.value.case == 0
 
 
 def test_eval_csv_contract():
