@@ -100,8 +100,7 @@ def _cmd_prep(args: argparse.Namespace) -> int:
             "defective": (f"{cid}_defective.nii", case.defective, "uint8"),
             "implant": (f"{cid}_implant.nii", case.implant, "uint8"),
         }
-        for name, vol, datatype in files.values():
-            write_volume(out / name, vol, datatype)
+        # built before any file is written, so that a case id it rejects leaves none behind
         manifest = CaseManifest(
             case_id=cid,
             seed=seed,
@@ -114,6 +113,8 @@ def _cmd_prep(args: argparse.Namespace) -> int:
             hu_threshold=config.hu_threshold,
             window=tuple(config.window),
         )
+        for name, vol, datatype in files.values():
+            write_volume(out / name, vol, datatype)
         mpath = out / f"{cid}.manifest"
         write_manifest(mpath, manifest)
         print(f"wrote {mpath} (box {case.box.origin}+{case.box.size})")

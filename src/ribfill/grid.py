@@ -135,12 +135,17 @@ class Box:
 # thresholding
 
 
-def binarize(v: Volume, tau: float) -> Mask:
-    """Threshold at ``tau``: voxels >= tau become 1, the rest 0."""
+def _finite_threshold(tau: float) -> float:
+    """tau as a float; DomainError unless it is finite."""
     tau = float(tau)
     if not np.isfinite(tau):
         raise DomainError(f"threshold must be finite, got {tau}")
-    return Mask((v.data >= tau).astype(np.float64), v.spacing)
+    return tau
+
+
+def binarize(v: Volume, tau: float) -> Mask:
+    """Threshold at ``tau``: voxels >= tau become 1, the rest 0."""
+    return Mask((v.data >= _finite_threshold(tau)).astype(np.float64), v.spacing)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,11 @@ class ManifestError(ValueError):
     """Raised for unreadable, incomplete, or contradictory manifests."""
 
 
+def _bad_case_id(case_id: str) -> bool:
+    """Whether ``case_id`` cannot be one plain field of a CSV row: empty, or holding a comma, a quote, CR or LF."""
+    return not case_id or any(ch in case_id for ch in ',"\r\n')
+
+
 @dataclass(frozen=True)
 class CaseManifest:
     """One prepared case: where its volumes live and how they were made."""
@@ -45,6 +50,10 @@ class CaseManifest:
     box: Box
     hu_threshold: float
     window: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        if _bad_case_id(self.case_id):
+            raise ManifestError(f"case_id: {self.case_id!r} is empty or holds a comma, a quote, CR or LF")
 
     def volume_path(self, key: str, manifest_path: str | Path) -> Path:
         """Resolve one of the stored volume paths against the manifest location."""

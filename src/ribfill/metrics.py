@@ -137,10 +137,14 @@ def directed_hausdorff_sq(a: Mask, b: Mask) -> float:
     return float(_directed_sq(a, b).max())
 
 
-def directed_hausdorff(a: Mask, b: Mask, percentile: float = 100.0) -> float:
-    """Directed Hausdorff in mm; ``percentile`` < 100 gives the robust variant."""
+def _check_percentile(percentile: float) -> None:
     if not 0.0 < percentile <= 100.0:
         raise ShapeError(f"percentile must be in (0, 100], got {percentile}")
+
+
+def directed_hausdorff(a: Mask, b: Mask, percentile: float = 100.0) -> float:
+    """Directed Hausdorff in mm; ``percentile`` < 100 gives the robust variant."""
+    _check_percentile(percentile)
     dists = np.sqrt(_directed_sq(a, b))
     if percentile == 100.0:
         return float(dists.max())

@@ -20,14 +20,15 @@ max pooling (ties go to the first maximal voxel in canonical x-fastest
 scan order), upsampling is nearest-neighbour doubling.  Each decoder level
 halves the channel count with a conv while still at the coarse resolution,
 then merges the encoder skip and the doubled grid with another conv.  That
-merge input never exists whole either: each of the merge conv's windows is
-filled from the skip and the coarse output, the way memory-efficient
-DenseNets build their concatenations in a shared buffer (Pleiss et al.,
-2017).  The skip is copied into the first channels, and the coarse output
-is written into the rest by one strided copy per parity class of voxels,
-so no upsampled or concatenated array exists; the backward of the join and
-of the pool walk the same eight classes.  The head is a 1x1x1 conv
-squashed in place by a sigmoid, so outputs live strictly inside (0, 1).
+merge input never exists whole either: :func:`_conv_window`, the one
+builder of every conv window, fills each of the merge conv's windows from
+the skip and the coarse output, the way memory-efficient DenseNets build
+their concatenations in a shared buffer (Pleiss et al., 2017).  The skip is
+copied into the first channels, and the coarse output is written into the
+rest by one strided copy per parity class of voxels, so no upsampled or
+concatenated array exists; the backward of the join and of the pool walk
+the same eight classes.  The head is a 1x1x1 conv squashed in place by a
+sigmoid, so outputs live strictly inside (0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
 (Ren et al., SBNet), and both take their boxes from one reverse walk of the
@@ -49,8 +50,8 @@ gradient, the bounding box of its nonzeros, so a loss scored on the defect
 crop costs a backward pass over the crop plus a halo of one voxel per conv.
 Each conv frames its gradient with zeros once, and both its weight gradient
 and its input gradient read that copy; the weight gradient reads its input's
-window over the whole box at once, built by the same rule as the forward's
-slab windows.
+window over the whole box at once, from :func:`_conv_window` like the
+forward's slab windows.
 
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
@@ -137,7 +138,7 @@ def init_params(config: NetConfig, seed: int) -> NetParams:
 # ---------------------------------------------------------------------------
 # conv kernels
 
-# A 3x3x3 conv reads a zero-framed window of its input (see :func:`_window`)
+# A 3x3x3 conv reads a zero-framed window of its input (see :func:`_conv_window`)
 # flattened with the window's strides Hp*Wp and Wp.  Output column
 # q = z*Hp*Wp + y*Wp + x then reads its tap (dz, dy, dx) at window column
 # q + dz*Hp*Wp + dy*Wp + dx: each (dz, dy) is one contiguous run of columns
@@ -181,24 +182,6 @@ def _w2_flipped(w: np.ndarray) -> np.ndarray:
     return _w2(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
 
 
-def _window(x: np.ndarray, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
-    """x over the box [lo, hi) with a one-voxel frame and a spare z plane: (C, D+3, H+2, W+2).
-
-    The frame holds the real neighbours of the box and zeros where it passes
-    a face of the grid, like a same-padded conv; the spare plane is zero.
-    So x must cover the box grown by one voxel a side as far as the grid
-    goes, and lie inside the grid.  The forward asks for one z-slab of a
-    conv's box at a time, filled into the front of ``buf``; the backward
-    asks for the whole box, in a new array.
-    """
-    n = [b - a for a, b in zip(lo, hi)]
-    xp = _front(buf, (x.shape[0], n[0] + 3, n[1] + 2, n[2] + 2), zero=True)
-    src = [slice(max(a - 1, 0), min(b + 1, s)) for a, b, s in zip(lo, hi, x.shape[1:])]
-    dst = [slice(s.start - a + 1, s.stop - a + 1) for s, a in zip(src, lo)]
-    xp[(slice(None), *dst)] = x[(slice(None), *src)]
-    return xp
-
-
 def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
     """Yield (output columns, (9*Ci, 8k) patch block) over the flat window xp, (Ci, Dp, Hp, Wp).
 
@@ -210,9 +193,9 @@ def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
     tile, which sums in another order, so without this a column's value would
     depend on where its block ends, and a conv on a box would differ in the
     last bit from the same conv on the whole grid.  The blocks fill the flat
-    buffer ``buf``, of at least 72*Ci floats, as wide as it allows (one of
-    ``_BLOCK_BYTES`` if none is given), and each block must be consumed
-    before the next one is drawn.
+    buffer ``buf``, of at least 72*Ci floats, as wide as :func:`_block_width`
+    allows for its bytes (one of ``_BLOCK_BYTES`` if none is given), and each
+    block must be consumed before the next one is drawn.
     """
     c_in, dp, hp, wp = xp.shape
     m = (dp - 3) * hp * wp
@@ -222,9 +205,9 @@ def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
         xp, shape=(3, 3, c_in, m + 2), strides=(hp * wp * item, wp * item, xp.strides[0], item),
         writeable=False,
     )
+    width = _block_width(c_in, m, _BLOCK_BYTES if buf is None else 8 * buf.size)
     if buf is None:
-        buf = np.empty(9 * c_in * _block_width(c_in, m, _BLOCK_BYTES))
-    width = min(buf.size // (9 * c_in), m + 9) & ~7
+        buf = np.empty(9 * c_in * width)
     for q0 in range(0, m, width - 2):
         n = min(width - 2, m - q0)
         blk = _front(buf, (3, 3, c_in, (n + 9) & ~7))
@@ -234,7 +217,7 @@ def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
 
 
 def _conv3(xp: np.ndarray, w2: np.ndarray, bufs=(None, None, None)) -> np.ndarray:
-    """3x3x3 conv over a window from :func:`_window` with a (3*Co, 9*Ci) kernel from :func:`_w2`.
+    """3x3x3 conv over a window from :func:`_conv_window` with a (3*Co, 9*Ci) kernel from :func:`_w2`.
 
     Returns the (Co, Dp-3, Hp, Wp) output, junk columns included.  One GEMM
     per patch block gives each dx its own row group; the three are summed at
@@ -267,43 +250,36 @@ def _parities(lo, hi):
         yield (slice(None), *(slice(f, None, 2) for f in first)), a, b
 
 
-def _merge_window(skip_src, coarse_src, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
-    """The window of a ``.merge`` conv's input over the box [lo, hi), laid out as :func:`_window` lays it out,
-    in the front of ``buf`` if given.
-
-    The input is the encoder skip concatenated with the coarse ``.reduce``
-    output doubled, each given as ``(array, origin of its box)``.  The skip
-    is copied into the first channels, and the coarse output is written into
-    the rest by a strided copy per :func:`_parities` class, so no upsampled
-    or concatenated array exists.  Both are filled on the box grown by one
-    voxel a side as far as the skip's box goes: that box lies inside the
-    grid and holds the merge box grown that way, so the frame holds real
-    neighbours and stays zero only at faces of the grid.
-    """
-    (skip, s_lo), (x, x_lo) = skip_src, coarse_src
-    cs = skip.shape[0]
-    xp = _front(buf, (cs + x.shape[0], *(hi - lo + (3, 2, 2))), zero=True)
-    a, b = np.maximum(lo - 1, s_lo), np.minimum(hi + 1, s_lo + skip.shape[1:])
-    cat = xp[_at(a - lo + 1, b - lo + 1)]
-    cat[:cs] = skip[_at(a - s_lo, b - s_lo)]
-    up = cat[cs:]
-    for cells, c_lo, c_hi in _parities(a, b):
-        up[cells] = x[_at(c_lo - x_lo, c_hi - x_lo)]
-    return xp
-
-
 def _conv_window(src, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
-    """The window of a conv's input over the box [lo, hi), from the sources its tape record saves.
+    """A conv's input over the box [lo, hi) with a one-voxel frame and a spare z plane, (C, D+3, H+2, W+2),
+    from the sources its tape record saves; in the front of ``buf`` if given.
 
-    ``src`` is ``((x, x_lo),)``, the input on a box with origin x_lo, read
-    by :func:`_window`; or, for a ``.merge`` conv, ``((skip, s_lo),
-    (coarse, c_lo))``, read by :func:`_merge_window`.  Both passes take
-    every conv window from here, the forward into the front of ``buf``.
+    ``src`` is ``((x, x_lo),)``, the input on a box with origin x_lo, or, for
+    a ``.merge`` conv, ``((skip, s_lo), (coarse, c_lo))``, whose input is
+    the encoder skip concatenated with the coarse ``.reduce`` output doubled.
+    The first source's box must lie inside the grid and hold [lo, hi) grown
+    by one voxel a side as far as the grid goes.  Both sources fill that
+    grown box, clipped to the first source's box, so the frame holds real
+    neighbours and is zero only where it passes a face of the grid, like a
+    same-padded conv; the spare plane is zero.  The first source is copied
+    into the first channels and a coarse one is written into the rest by a
+    strided copy per :func:`_parities` class, the way memory-efficient
+    DenseNets build their concatenations in a shared buffer (Pleiss et al.,
+    2017), so no upsampled or concatenated array exists.  The forward asks
+    for one z-slab of a conv's box at a time, into ``buf``; the backward for
+    the whole box, in a new array.
     """
-    if len(src) == 2:
-        return _merge_window(*src, lo, hi, buf)
-    ((x, x_lo),) = src
-    return _window(x, lo - x_lo, hi - x_lo, buf)
+    (x, x_lo), *doubled = src
+    c = x.shape[0]
+    xp = _front(buf, (c + sum(y.shape[0] for y, _ in doubled), *(hi - lo + (3, 2, 2))), zero=True)
+    a, b = np.maximum(lo - 1, x_lo), np.minimum(hi + 1, x_lo + x.shape[1:])
+    win = xp[_at(a - lo + 1, b - lo + 1)]
+    win[:c] = x[_at(a - x_lo, b - x_lo)]
+    for y, y_lo in doubled:
+        up = win[c:]
+        for cells, c_lo, c_hi in _parities(a, b):
+            up[cells] = y[_at(c_lo - y_lo, c_hi - y_lo)]
+    return xp
 
 
 @functools.cache
@@ -571,7 +547,7 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     columns wide (see :func:`_patches`), so the output, and every gradient
     :func:`backward` takes from the tape, is byte-equal to the same box of
     the whole-grid forward's.  A ``.merge`` conv's windows are filled from
-    the skip and the coarse ``.reduce`` output (see :func:`_merge_window`),
+    the skip and the coarse ``.reduce`` output (see :func:`_conv_window`),
     and its tape record keeps both.
     """
     if vol.domain != UNIT:

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .defects import TrainingCase
-from .grid import Box, DomainError, binarize, crop
+from .grid import Box, DomainError, _finite_threshold, binarize, crop
 from .losses import DEFECT_CROP, FULL_VOLUME, LossReport, _components, loss_gradient, rib_loss
-from .metrics import EmptyMaskError, MetricReport, metric_report
+from .manifest import _bad_case_id
+from .metrics import EmptyMaskError, MetricReport, _check_percentile, metric_report
 from .net import NetConfig, NetParams, OptState, adam_step, backward, forward, init_params
 
 
@@ -137,7 +138,11 @@ def evaluate(
 
     An all-background prediction crop has no surface: rather than score a made-up
     distance, this raises :class:`EmptyMaskError` naming the case's index and the threshold.
+    A threshold or percentile that ``binarize`` or the metrics would reject is rejected
+    before the first forward, with their error.
     """
+    _finite_threshold(threshold)
+    _check_percentile(percentile)
     out: list[MetricReport] = []
     for i, case in enumerate(cases):
         pred = binarize(forward(params, case.defective, case.box)[0], threshold)
@@ -152,6 +157,8 @@ def eval_csv(ids: list[str], reports: list[MetricReport]) -> str:
     if len(ids) != len(reports):
         raise DomainError(f"{len(ids)} ids for {len(reports)} reports")
     lines = ["case,dsc,hd_mm,hd_ab,hd_ba"]
-    for cid, r in zip(ids, reports):
+    for i, (cid, r) in enumerate(zip(ids, reports)):
+        if _bad_case_id(cid):
+            raise DomainError(f"case {i}: id {cid!r} is empty or holds a comma, a quote, CR or LF")
         lines.append(f"{cid},{r.dsc!r},{r.hd!r},{r.hd_ab!r},{r.hd_ba!r}")
     return "\n".join(lines) + "\n"

@@ -68,6 +68,16 @@ def test_prep_rejects_impossible_placement(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_prep_rejects_a_case_id_that_breaks_csv_rows_before_writing(tmp_path, capsys):
+    run_phantom(tmp_path)
+    ct = tmp_path / "a,b_ct.nii"
+    (tmp_path / "case000_ct.nii").rename(ct)
+    out = tmp_path / "prep"
+    assert run_prep(out, [ct]) == 1
+    assert capsys.readouterr().err.startswith("error: case_id: 'a,b' is empty or holds a comma")
+    assert list(out.iterdir()) == []
+
+
 def test_prep_defect_flags_reach_placement(tmp_path):
     run_phantom(tmp_path)
     out = tmp_path / "prep"

@@ -118,3 +118,19 @@ def test_bytes_that_are_not_utf8_rejected(tmp_path):
     path.write_bytes(raw[:at] + b"\xff" + raw[at:])
     with pytest.raises(ManifestError, match=rf"m\.manifest: byte {at} is not UTF-8"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("cid", ["", "a,b", 'a"b', "a\rb", "a\nb"])
+def test_case_id_that_would_break_a_csv_row_rejected(cid):
+    with pytest.raises(ManifestError, match="^case_id: .* is empty or holds a comma, a quote, CR or LF"):
+        CaseManifest(**{**_manifest().__dict__, "case_id": cid})
+
+
+@pytest.mark.parametrize("cid", ["", "a,b", 'a"b'])  # CR and LF end a manifest line before it is parsed
+def test_read_rejects_a_case_id_that_would_break_a_csv_row(tmp_path, cid):
+    path = tmp_path / "m.manifest"
+    write_manifest(path, _manifest())
+    _touch_volumes(tmp_path, _manifest())
+    path.write_text(path.read_text().replace("case_id = case007", f"case_id = {cid}"))
+    with pytest.raises(ManifestError, match="^case_id: "):
+        read_manifest(path)

@@ -155,11 +155,11 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
         ref_gw[co, ci, dz, dy, dx] = np.sum(gy[co] * xp[win])
         ref_gxp[win] += w[co, ci, dz, dy, dx] * gy[co]
 
-    xp = netmod._window(x, (0, 0, 0), (d, h, w_))
+    o = np.zeros(3, dtype=int)
+    xp = netmod._conv_window(((x, o),), o, np.array((d, h, w_)))
     gp = netmod._frame(gy)
     y = netmod._conv3(xp, netmod._w2(w))[:, :, :h, :w_]
     assert np.allclose(y, ref, rtol=0, atol=1e-12)
-    o = np.zeros(3, dtype=int)
     y = netmod._conv_layer(((x, o),), o, np.array((d, h, w_)), w, b)
     assert np.allclose(y, ref + b[:, None, None, None], rtol=0, atol=1e-12)
     gw = netmod._conv3_weight_grad(xp, gp)

@@ -1,4 +1,4 @@
-"""Generated properties of the box engine: demand boxes, parity classes, box forward, support-box backward.
+"""Generated properties of the box engine: demand boxes, parity classes, conv windows, box forward, support-box backward.
 
 Hypothesis draws the net, the grid, the boxes, the input, the depth of the
 forward's conv slabs and, for the worker walks, the patch-block budget.  The profile registered in conftest derandomizes
@@ -180,6 +180,68 @@ def test_parity_classes_partition_a_box_and_find_their_coarse_voxels(box):
         assert np.array_equal(v >> 1, coarse), (k, lo, hi)
         assert np.all(lo >> 1 <= c_lo) and np.all(c_lo <= c_hi) and np.all(c_hi <= (hi + 1) >> 1), (k, lo, hi)
     assert np.all(hits == 1)
+
+
+@st.composite
+def _windows(draw):
+    """A box on an even grid, the sources of its conv window, and that window built the plain way.
+
+    The first source holds the box grown by one voxel a side as far as the
+    grid goes, plus up to two voxels more a side; half the time a coarse
+    source follows, holding the first one's box halved outward plus up to two
+    voxels.  The reference is the grid-sized input: the first source
+    concatenated with the coarse one doubled by ``repeat(2)`` on each axis
+    and cropped to the first source's box, NaN outside that box; then
+    zero-padded by one voxel at the grid's faces, cut to the box and its
+    frame, with a zero z plane appended.
+    """
+    dims = np.array([2 * draw(st.integers(1, 6)) for _ in range(3)])
+    lo, hi = draw(_boxes(tuple(dims)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grow(a, b, top):
+        """[a, b) grown by zero to two voxels a side, clipped to [0, top)."""
+        more = lambda: np.array([draw(st.integers(0, 2)) for _ in range(3)])
+        return np.maximum(a - more(), 0), np.minimum(b + more(), top)
+
+    def values(c, shape):
+        return rng.choice([0.0, -0.0, -0.0, 0.5, -1.25, 3.0], size=(c, *shape))
+
+    x_lo, x_hi = grow(lo - 1, hi + 1, dims)
+    x = values(draw(st.integers(1, 3)), x_hi - x_lo)
+    src = ((x, x_lo),)
+    parts = [x]
+    if draw(st.booleans()):
+        c_lo, c_hi = grow(x_lo >> 1, (x_hi + 1) >> 1, dims >> 1)
+        coarse = values(draw(st.integers(1, 3)), c_hi - c_lo)
+        src += ((coarse, c_lo),)
+        doubled = coarse.repeat(2, axis=1).repeat(2, axis=2).repeat(2, axis=3)
+        parts.append(doubled[netmod._at(x_lo - 2 * c_lo, x_hi - 2 * c_lo)])
+    cat = np.concatenate(parts)
+    full = np.full((cat.shape[0], *dims), np.nan)
+    full[netmod._at(x_lo, x_hi)] = cat
+    ref = np.pad(full, ((0, 0), (1, 1), (1, 1), (1, 1)))[netmod._at(lo, hi + 2)]
+    ref = np.concatenate([ref, np.zeros((ref.shape[0], 1, *ref.shape[2:]))], axis=1)
+    return src, lo, hi, ref
+
+
+@settings(max_examples=300)
+@given(_windows(), st.booleans())
+def test_conv_window_equals_the_padded_concatenation_bitwise(case, reuse):
+    """Plain and merge windows, signed zeros included, in a new array or in the front of a dirty reused buffer."""
+    src, lo, hi, ref = case
+    assert not np.isnan(ref).any()  # the sources hold every voxel the window reads
+    if not reuse:
+        got = netmod._conv_window(src, lo, hi)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        return
+    buf = np.full(ref.size + 5, np.nan)
+    buf[::2] = -0.0
+    tail = buf[ref.size :].copy()
+    for _ in range(2):  # the second call finds the first one's window in the buffer
+        got = netmod._conv_window(src, lo, hi, buf)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert np.shares_memory(got, buf[: ref.size]) and buf[ref.size :].tobytes() == tail.tobytes()
 
 
 def _maxpool2_grad_scatter(gy, idx):

@@ -1,10 +1,13 @@
 """Training loop behaviour, evaluation, and the CSV log contracts."""
 
+import importlib
+import re
+
 import numpy as np
 import pytest
 
 from ribfill.defects import DefectSpec, PipelineConfig, prepare_case
-from ribfill.grid import HU, DomainError, Volume, crop
+from ribfill.grid import HU, DomainError, ShapeError, Volume, crop
 from ribfill.losses import DEFECT_CROP, FULL_VOLUME, loss_gradient, rib_loss
 from ribfill.metrics import EmptyMaskError
 from ribfill.net import NetConfig, OptState, adam_step, backward, forward, init_params
@@ -186,3 +189,29 @@ def test_eval_csv_contract():
     assert float(parts[1]) == reports[0].dsc
     with pytest.raises(DomainError, match="ids"):
         eval_csv(["a", "b"], reports)
+
+
+@pytest.mark.parametrize("cid", ["", "a,b", 'a"b', "a\rb", "a\nb"])
+def test_eval_csv_rejects_a_case_id_that_breaks_its_row(cid):
+    reports = evaluate(init_params(CFG, seed=0), [tiny_case()], threshold=0.45)
+    with pytest.raises(DomainError, match=rf"^case 1: id {re.escape(repr(cid))} is empty or holds"):
+        eval_csv(["case000", cid], reports * 2)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, message",
+    [
+        ({"percentile": 0.0}, ShapeError, r"percentile must be in \(0, 100\], got 0\.0"),
+        ({"percentile": float("nan")}, ShapeError, r"percentile must be in \(0, 100\], got nan"),
+        ({"threshold": float("nan")}, DomainError, "threshold must be finite, got nan"),
+        ({"threshold": float("-inf")}, DomainError, "threshold must be finite, got -inf"),
+    ],
+)
+def test_evaluate_checks_its_arguments_before_the_first_forward(monkeypatch, kwargs, error, message):
+    def no_forward(*args, **kw):
+        raise AssertionError("forward ran before the arguments were checked")
+
+    # the module, which the package's ``train`` function shadows as an attribute
+    monkeypatch.setattr(importlib.import_module("ribfill.train"), "forward", no_forward)
+    with pytest.raises(error, match=message):
+        evaluate(init_params(CFG, seed=0), [tiny_case()], **kwargs)
