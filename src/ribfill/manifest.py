@@ -32,8 +32,14 @@ class ManifestError(ValueError):
 
 
 def _bad_case_id(case_id: str) -> bool:
-    """Whether ``case_id`` cannot be one plain field of a CSV row: empty, or holding a comma, a quote, CR or LF."""
-    return not case_id or any(ch in case_id for ch in ',"\r\n')
+    """Whether ``case_id`` cannot be one plain field of a CSV row that a manifest gives back as written.
+
+    It cannot if it is empty or holds a comma or a quote, or a line break of
+    any kind (CR, LF, or any other that ``str.splitlines`` splits at, on
+    which :func:`read_manifest` would split it), or a blank at either end
+    (which :func:`read_manifest` would strip).
+    """
+    return case_id.splitlines() != [case_id] or case_id != case_id.strip() or any(ch in case_id for ch in ',"')
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,10 @@ class CaseManifest:
 
     def __post_init__(self) -> None:
         if _bad_case_id(self.case_id):
-            raise ManifestError(f"case_id: {self.case_id!r} is empty or holds a comma, a quote, CR or LF")
+            raise ManifestError(
+                f"case_id: {self.case_id!r} is empty or holds a comma, a quote, CR or LF or another line break,"
+                " or a blank at an end"
+            )
 
     def volume_path(self, key: str, manifest_path: str | Path) -> Path:
         """Resolve one of the stored volume paths against the manifest location."""

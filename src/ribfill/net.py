@@ -2,33 +2,33 @@
 
 Everything runs in float64 on the CPU.  Convolutions are 3x3x3, same
 padding, one GEMM per cache-sized column block of a flat zero-framed window
-of the input with the three x taps folded into the kernel's rows; weight
-gradients walk the same blocks, and input gradients convolve the upstream
-gradient with the offset-flipped, in/out-swapped kernel, so no scatter
-operation ever appears.  The forward runs each conv in z-slabs of a few
-output planes: it builds one slab's window, convolves it and adds the bias
-into that slab of one compact output, which it then clamps in place for the
-ReLU, so a whole window or a whole output with its junk columns never
-exists.  A conv whose slab of half that depth still holds a full patch
-block of half the block budget, as every conv of a 128x128x64 whole-grid
-forward does, splits its slabs between two worker threads, each with its
-own buffers and one half of each budget.  OpenBLAS is pinned to one thread
-while they run: with its two threads under the two workers, that forward
-took 1.6-2.2 s against 1.1-1.4 s for one walk.  Smaller convs, such as
-all of a desk-sized box forward's, keep one walk.  Downsampling is 2x2x2
-max pooling (ties go to the first maximal voxel in canonical x-fastest
-scan order), upsampling is nearest-neighbour doubling.  Each decoder level
-halves the channel count with a conv while still at the coarse resolution,
-then merges the encoder skip and the doubled grid with another conv.  That
-merge input never exists whole either: :func:`_conv_window`, the one
-builder of every conv window, fills each of the merge conv's windows from
-the skip and the coarse output, the way memory-efficient DenseNets build
-their concatenations in a shared buffer (Pleiss et al., 2017).  The skip is
-copied into the first channels, and the coarse output is written into the
-rest by one strided copy per parity class of voxels, so no upsampled or
-concatenated array exists; the backward of the join and of the pool walk
-the same eight classes.  The head is a 1x1x1 conv squashed in place by a
-sigmoid, so outputs live strictly inside (0, 1).
+of the input with the three x taps folded into the kernel's rows.  Every
+conv walk, the forward's and both halves of the backward's, runs in z-slabs
+of a few output planes planned by :func:`_slab_plan`, so no whole window
+and no whole output with its junk columns ever exists.  The forward adds the
+bias into each slab of one compact output, then clamps it in place for the
+ReLU; the weight gradient walks the same slab windows, and the input
+gradient convolves the upstream gradient with the offset-flipped,
+in/out-swapped kernel, so no scatter operation ever appears.  A forward conv
+whose slab of half that depth still holds a full patch block of half the
+block budget, as every conv of a 128x128x64 whole-grid forward does, splits
+its slabs between two worker threads, with OpenBLAS pinned to one thread:
+with its two threads under the two workers, that forward took 1.6-2.2 s
+against 1.1-1.4 s for one walk.  Other convs and the backward keep one
+walk.  Downsampling is 2x2x2 max pooling (ties go to the first maximal
+voxel in canonical x-fastest scan order), upsampling is nearest-neighbour
+doubling.  Each decoder level halves the channel count with a conv while
+still at the coarse resolution, then merges the encoder skip and the
+doubled grid with another conv.  That merge input never exists whole
+either: :func:`_conv_window`, the one builder of every conv window, fills
+each of the merge conv's slab windows from the skip and the coarse output,
+the way memory-efficient DenseNets build their concatenations in a shared
+buffer (Pleiss et al., 2017).  The skip is copied into the first channels,
+and the coarse output is written into the rest by one strided copy per
+parity class of voxels, so no upsampled or concatenated array exists; the
+backward of the join and of the pool walk the same eight classes.  The
+head is a 1x1x1 conv squashed in place by a sigmoid, so outputs live
+strictly inside (0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
 (Ren et al., SBNet), and both take their boxes from one reverse walk of the
@@ -37,9 +37,10 @@ each layer must output for that, the box's cone, one voxel wider per conv,
 aligned and halved or doubled at each change of level.  The forward is asked
 for its output on a box (the whole grid by default) and runs each layer only
 on its demand box, so a loss scored on the defect crop skips most of the
-decoder.  Every conv GEMM is a multiple of 8 columns wide, so a voxel's value
-does not depend on where its block ends, and the output on a box is
-byte-equal to that box of the whole-grid output.
+decoder.  Every conv GEMM is a multiple of 8 columns wide, so no voxel lies
+in a ragged GEMM tail and its value does not depend on where its block ends
+(see :func:`_patches`), and the output on a box is byte-equal to that box of
+the whole-grid output.
 
 The forward appends one ``(op, layer, lo, saved)`` record per layer to a
 :class:`Tape`, in execution order, where ``lo`` is the origin of the
@@ -49,9 +50,7 @@ first.  It runs the same demand walk from the support box of the output
 gradient, the bounding box of its nonzeros, so a loss scored on the defect
 crop costs a backward pass over the crop plus a halo of one voxel per conv.
 Each conv frames its gradient with zeros once, and both its weight gradient
-and its input gradient read that copy; the weight gradient reads its input's
-window over the whole box at once, from :func:`_conv_window` like the
-forward's slab windows.
+and its input gradient read that copy.
 
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
@@ -146,19 +145,13 @@ def init_params(config: NetConfig, seed: int) -> NetParams:
 # the window; with a one-voxel frame, output columns with y >= H or x >= W
 # read across a row's end and are junk.
 
-# Both budgets are those of one walk over a conv's window; a forward conv on
-# two workers (see :func:`_conv_layer`) splits each between them.
+# Both budgets are one conv walk's; a forward conv on two workers splits each (see :func:`_slab_plan`).
 _BLOCK_BYTES = 1 << 21  # patch-block bytes; the fastest budget differs from conv to conv (ROADMAP Baseline)
-_SLAB_PLANES = 4  # output z planes per forward conv window; 8 took a 32x64x64 peak from 1.24x to 1.40x what it keeps
+_SLAB_PLANES = 4  # output z planes per conv slab; 8 took a 32x64x64 peak from 1.24x to 1.40x what it keeps
 
 
-def _front(buf: np.ndarray | None, shape, zero: bool = False) -> np.ndarray:
-    """A float64 array of ``shape`` over the front of the flat buffer ``buf``, or a new one if buf is None.
-
-    Zero-filled if ``zero``, else left as it is.
-    """
-    if buf is None:
-        return np.zeros(shape) if zero else np.empty(shape)
+def _front(buf: np.ndarray, shape, zero: bool = False) -> np.ndarray:
+    """A float64 array of ``shape`` over the front of the flat buffer ``buf``, zero-filled if ``zero``."""
     a = buf[: math.prod(shape)].reshape(shape)
     if zero:
         a.fill(0.0)
@@ -182,20 +175,21 @@ def _w2_flipped(w: np.ndarray) -> np.ndarray:
     return _w2(w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
 
 
-def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
+def _patches(xp: np.ndarray, buf: np.ndarray):
     """Yield (output columns, (9*Ci, 8k) patch block) over the flat window xp, (Ci, Dp, Hp, Wp).
 
     The walk covers output columns [0, (Dp - 3)*Hp*Wp).  Row (dz*3 + dy)*Ci + ci
     holds channel ci from column q + dz*Hp*Wp + dy*Wp on, for the block's n
     output columns q and two halo columns, so tap dx is ``block[:, dx : dx + n]``.
     Every block is a multiple of 8 columns wide, the last one zero-filled up
-    to that: the BLAS kernel computes a ragged tail of columns with another
-    tile, which sums in another order, so without this a column's value would
-    depend on where its block ends, and a conv on a box would differ in the
-    last bit from the same conv on the whole grid.  The blocks fill the flat
-    buffer ``buf``, of at least 72*Ci floats, as wide as :func:`_block_width`
-    allows for its bytes (one of ``_BLOCK_BYTES`` if none is given), and each
-    block must be consumed before the next one is drawn.
+    to that: OpenBLAS's SkylakeX, Haswell and Nehalem kernels compute a
+    GEMM's columns past a multiple of 8 with another tile, which sums in
+    another order, so a column's value would depend on where its block ends.
+    A window's last block ends in junk columns, but a slab of
+    :func:`_conv3_input_grad` may end in a voxel it keeps.  The blocks fill
+    the flat buffer ``buf``, of at least 72*Ci floats, as wide as
+    :func:`_block_width` allows for its bytes; each must be consumed before
+    the next one is drawn.
     """
     c_in, dp, hp, wp = xp.shape
     m = (dp - 3) * hp * wp
@@ -205,9 +199,7 @@ def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
         xp, shape=(3, 3, c_in, m + 2), strides=(hp * wp * item, wp * item, xp.strides[0], item),
         writeable=False,
     )
-    width = _block_width(c_in, m, _BLOCK_BYTES if buf is None else 8 * buf.size)
-    if buf is None:
-        buf = np.empty(9 * c_in * width)
+    width = _block_width(c_in, m, 8 * buf.size)
     for q0 in range(0, m, width - 2):
         n = min(width - 2, m - q0)
         blk = _front(buf, (3, 3, c_in, (n + 9) & ~7))
@@ -216,23 +208,20 @@ def _patches(xp: np.ndarray, buf: np.ndarray | None = None):
         yield slice(q0, q0 + n), blk.reshape(9 * c_in, -1)
 
 
-def _conv3(xp: np.ndarray, w2: np.ndarray, bufs=(None, None, None)) -> np.ndarray:
+def _conv3(xp: np.ndarray, w2: np.ndarray, out_buf: np.ndarray, blocks: np.ndarray, prods: np.ndarray) -> np.ndarray:
     """3x3x3 conv over a window from :func:`_conv_window` with a (3*Co, 9*Ci) kernel from :func:`_w2`.
 
-    Returns the (Co, Dp-3, Hp, Wp) output, junk columns included.  One GEMM
-    per patch block gives each dx its own row group; the three are summed at
-    column shifts 0, 1, 2.  ``bufs`` are flat buffers for the output, the
-    patch blocks and the GEMM output, each filled from its front; a missing
-    one is allocated.
+    Returns the (Co, Dp-3, Hp, Wp) output, junk columns included, in the front
+    of ``out_buf``.  One GEMM per patch block (in ``blocks``) gives each dx its
+    own row group (in ``prods``); the three are summed at column shifts 0, 1, 2.
     """
     c_out = w2.shape[0] // 3
     _, dp, hp, wp = xp.shape
-    out_buf, blocks, prods = bufs
     yp = _front(out_buf, (c_out, dp - 3, hp, wp))
     yf = yp.reshape(c_out, -1)
     for cols, blk in _patches(xp, blocks):
         n = cols.stop - cols.start
-        p = np.matmul(w2, blk, out=None if prods is None else _front(prods, (3 * c_out, blk.shape[1])))
+        p = np.matmul(w2, blk, out=_front(prods, (3 * c_out, blk.shape[1])))
         out = yf[:, cols]
         np.add(p[:c_out, :n], p[c_out : 2 * c_out, 1 : n + 1], out=out)
         out += p[2 * c_out :, 2 : n + 2]
@@ -250,9 +239,9 @@ def _parities(lo, hi):
         yield (slice(None), *(slice(f, None, 2) for f in first)), a, b
 
 
-def _conv_window(src, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
+def _conv_window(src, lo, hi, buf: np.ndarray) -> np.ndarray:
     """A conv's input over the box [lo, hi) with a one-voxel frame and a spare z plane, (C, D+3, H+2, W+2),
-    from the sources its tape record saves; in the front of ``buf`` if given.
+    from the sources its tape record saves, in the front of the flat buffer ``buf``.
 
     ``src`` is ``((x, x_lo),)``, the input on a box with origin x_lo, or, for
     a ``.merge`` conv, ``((skip, s_lo), (coarse, c_lo))``, whose input is
@@ -265,9 +254,7 @@ def _conv_window(src, lo, hi, buf: np.ndarray | None = None) -> np.ndarray:
     into the first channels and a coarse one is written into the rest by a
     strided copy per :func:`_parities` class, the way memory-efficient
     DenseNets build their concatenations in a shared buffer (Pleiss et al.,
-    2017), so no upsampled or concatenated array exists.  The forward asks
-    for one z-slab of a conv's box at a time, into ``buf``; the backward for
-    the whole box, in a new array.
+    2017).  Every caller asks for one z-slab of a conv's box (see :func:`_slab_plan`).
     """
     (x, x_lo), *doubled = src
     c = x.shape[0]
@@ -321,28 +308,37 @@ def _two_workers(c_in: int, d: int, h: int, w: int) -> bool:
     return d > planes > 0 and planes * (h + 2) * (w + 2) >= (_BLOCK_BYTES // 2) // (72 * c_in)
 
 
+def _slab_plan(c_in: int, c_out: int | None, d: int, h: int, w: int, window: bool, workers: int = 1):
+    """``(slabs, *buffers)`` per worker for a conv walk with ``c_in`` input channels over a (d, h, w) output box.
+
+    Worker j takes z-slabs [z0, z1) j, j + workers, ... of ``_SLAB_PLANES //
+    workers`` planes and one ``workers``-th of ``_BLOCK_BYTES``.  Its flat
+    buffers are a slab's window if ``window``, then :func:`_conv3`'s three
+    for ``c_out`` output channels, or, if ``c_out`` is None, the patch blocks
+    alone.  All are allocated in the calling thread: buffers each worker
+    allocated took four 128x128x64 whole-grid forwards from 273 to 299 MB.
+    """
+    planes = max(_SLAB_PLANES // workers, 1)
+    m = planes * (h + 2) * (w + 2)
+    width = _block_width(c_in, m, _BLOCK_BYTES // workers)
+    sizes = [c_in * (planes + 3) * (h + 2) * (w + 2)] if window else []
+    sizes += [9 * c_in * width] if c_out is None else [c_out * m, 9 * c_in * width, 3 * c_out * width]
+    return [
+        ([(z0, min(z0 + planes, d)) for z0 in range(j * planes, d, workers * planes)], *(np.empty(n) for n in sizes))
+        for j in range(workers)
+    ]
+
+
 def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padded 3x3x3 conv plus bias, before the ReLU, on the box [lo, hi) of the input that src holds.
 
-    Walks the box in z-slabs of output planes, the way patch-based inference
-    runs a layer region by region (Lin et al., MCUNetV2): each slab's window
-    comes from :func:`_conv_window`, :func:`_conv3` runs on it, and the bias
-    is added into that slab of one compact (Co, D, H, W) output.  So neither
-    the whole window nor a whole output with its junk columns exists.
-
-    A conv large enough to pay for it (see :func:`_two_workers`) runs on two
-    worker threads: worker j takes slabs j, j+2, j+4, ... of
-    ``_SLAB_PLANES // 2`` planes each, with half of ``_BLOCK_BYTES`` for its
-    patch blocks, and writes its own z ranges of the output.  Meanwhile BLAS
-    is pinned to one thread, through the OpenBLAS API, and then set back;
-    without that API the conv keeps one walk.  Any other conv is one walk of
-    ``_SLAB_PLANES``-plane slabs.  Each walk fills one window, one junk-column
-    output, one patch buffer and one GEMM output, allocated here in the
-    calling thread: buffers a worker allocated itself went to glibc's
-    per-thread arenas and took the peak RSS of four 128x128x64 whole-grid
-    forwards from 273 to 299 MB.  Every GEMM is a multiple of 8 columns
-    wide, so neither the slab bounds nor the worker count moves an output
-    bit.
+    Walks the box in z-slabs, the way patch-based inference runs a layer
+    region by region (Lin et al., MCUNetV2), adding the bias into each slab
+    of one compact (Co, D, H, W) output.  A conv large enough to pay for it
+    (see :func:`_two_workers`) splits its slabs between two worker threads,
+    with BLAS pinned to one thread through the OpenBLAS API and then set
+    back; without that API it keeps one walk.  Neither the slab bounds nor
+    the worker count moves an output bit (see :func:`_patches`).
     """
     c_out, c_in = w.shape[:2]
     w2 = _w2(w)
@@ -350,22 +346,13 @@ def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarra
     d, h, w_ = hi - lo
     y = np.empty((c_out, d, h, w_))
     blas = _openblas() if _two_workers(c_in, d, h, w_) else None
-    workers = 1 if blas is None else 2
-    planes = max(_SLAB_PLANES // workers, 1)
-    m = planes * (h + 2) * (w_ + 2)
-    width = _block_width(c_in, m, _BLOCK_BYTES // workers)
+    walks = _slab_plan(c_in, c_out, d, h, w_, True, 1 if blas is None else 2)
 
-    def walk(j: int, win: np.ndarray, bufs) -> None:
-        for z0 in range(j * planes, d, workers * planes):
-            z1 = min(z0 + planes, d)
-            yp = _conv3(_conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:])), win), w2, bufs)
+    def walk(slabs, win: np.ndarray, *bufs: np.ndarray) -> None:
+        for z0, z1 in slabs:
+            yp = _conv3(_conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:])), win), w2, *bufs)
             np.add(yp[:, :, :h, :w_], bias, out=y[:, z0:z1])
 
-    walks = [
-        (j, np.empty(c_in * (planes + 3) * (h + 2) * (w_ + 2)),
-         (np.empty(c_out * m), np.empty(9 * c_in * width), np.empty(3 * c_out * width)))
-        for j in range(workers)
-    ]
     if blas is None:
         walk(*walks[0])
         return y
@@ -374,7 +361,7 @@ def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarra
         threads = get_threads()
         set_threads(1)
         try:
-            with ThreadPoolExecutor(workers) as pool:
+            with ThreadPoolExecutor(len(walks)) as pool:
                 for done in [pool.submit(walk, *args) for args in walks]:
                     done.result()
         finally:
@@ -382,31 +369,52 @@ def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarra
     return y
 
 
-def _conv3_weight_grad(xp: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """d(loss)/d(weight), (Co, Ci, 3, 3, 3), from the input's window xp of a box
-    and the upstream gradient on that box, framed by :func:`_frame`."""
-    c_in, _, hp, wp = xp.shape
-    c_out = gp.shape[0]
-    shift = 2 * hp * wp + 2 * wp + 2
+def _conv3_weight_grad(src, lo: np.ndarray, hi: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """d(loss)/d(weight), (Co, Ci, 3, 3, 3), of a conv on the box [lo, hi) of the input that src holds
+    (see :func:`_conv_window`), from the upstream gradient on that box framed by :func:`_frame`.
+
+    Walks the forward's z-slabs, each slab's window in one reused buffer,
+    against the frame from column (z0 + 2)*Hp*Wp + 2*Wp + 2; partials add up in slab order.
+    """
+    c_out, _, hp, wp = gp.shape
+    c_in = sum(x.shape[0] for x, _ in src)
     gf = gp.reshape(c_out, -1)
     gw2 = np.zeros((3, c_out, 9 * c_in))
-    for cols, blk in _patches(xp):
-        n = cols.stop - cols.start
-        g = gf[:, shift + cols.start : shift + cols.stop]
-        for dx in range(3):
-            gw2[dx] += g @ blk[:, dx : dx + n].T
+    ((slabs, win, blocks),) = _slab_plan(c_in, None, *(hi - lo), True)
+    for z0, z1 in slabs:
+        xp = _conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:])), win)
+        g = gf[:, (z0 + 2) * hp * wp + 2 * wp + 2 :]  # the gradient from the slab's first output voxel on
+        for cols, blk in _patches(xp, blocks):
+            n = cols.stop - cols.start
+            for dx in range(3):
+                gw2[dx] += g[:, cols] @ blk[:, dx : dx + n].T
     gw = gw2.reshape(3, c_out, 3, 3, c_in).transpose(1, 4, 2, 3, 0)
     return np.ascontiguousarray(gw)
 
 
-def _frame(g: np.ndarray) -> np.ndarray:
-    """g, (C, D, H, W), framed as (C, D+5, H+2, W+2) for both halves of a conv's backward.
+def _conv3_input_grad(gp: np.ndarray, s: np.ndarray, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """d(loss)/d(input) of a conv with weights w on [s, e) of its box grown by one voxel a side,
+    from the upstream gradient on the box framed by :func:`_frame`.
 
-    g sits at [2:D+2, 2:, 2:], so in the flat data two zeros precede each
-    row of g.  Walked by :func:`_patches`, the frame gives the transposed
-    conv on the box grown by one voxel a side, with no junk columns; from
-    column 2*Hp*Wp + 2*Wp + 2 on, it is g in the walk's output layout for
-    the box itself, zero in the junk columns.
+    :func:`_conv3` walks z-slabs of [s, e) over views of the frame, and each slab's [s1:e1, s2:e2] is
+    copied into one compact array, with no bias, so a -0.0 stays -0.0.
+    """
+    c_out, _, hp, wp = gp.shape
+    w2 = _w2_flipped(w)
+    gx = np.empty((w.shape[1], *(e - s)))
+    ((slabs, *bufs),) = _slab_plan(c_out, w.shape[1], e[0] - s[0], hp - 2, wp - 2, False)
+    for z0, z1 in slabs:
+        gx[:, z0:z1] = _conv3(gp[:, s[0] + z0 : s[0] + z1 + 3], w2, *bufs)[:, :, s[1] : e[1], s[2] : e[2]]
+    return gx
+
+
+def _frame(g: np.ndarray) -> np.ndarray:
+    """g, (C, D, H, W), framed as (C, D+5, H+2, W+2): the one copy both halves of a conv's backward read.
+
+    g sits at [2:D+2, 2:, 2:], so two zeros precede each row of g.  Its planes
+    z0 to z1 + 2 give the transposed conv on planes [z0, z1) of the box grown
+    by one voxel a side, with no junk columns; from column 2*Hp*Wp + 2*Wp + 2
+    on, it is g in a window walk's output layout, zero in the junk columns.
     """
     c, d, h, w = g.shape
     gp = np.zeros((c, d + 5, h + 2, w + 2))
@@ -453,17 +461,13 @@ def _maxpool2_grad(gy: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _doubling_grad(g: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gradient of the coarse output a ``cat`` doubles: g, on the fine box from lo, summed into the coarse box [a, b).
 
-    Each coarse voxel adds its fine voxels' gradients x pair by x pair, then
-    the four pair sums in (z, y) scan order, whatever the box, so a box's
-    gradient is byte-equal to the same box of the whole grid's.
+    Each coarse voxel adds its fine voxels' gradients onto a zero in
+    :func:`_parities` class order, whatever the box, so a box's gradient is
+    byte-equal to the same box of the whole grid's.
     """
     gc = np.zeros((g.shape[0], *(b - a)))
-    classes = list(_parities(lo, lo + g.shape[1:]))
-    for x_pair in zip(classes[::2], classes[1::2]):
-        pair = np.zeros_like(gc)
-        for cells, c_lo, c_hi in x_pair:
-            pair[_at(c_lo - a, c_hi - a)] += g[cells]
-        gc += pair
+    for cells, c_lo, c_hi in _parities(lo, lo + g.shape[1:]):
+        gc[_at(c_lo - a, c_hi - a)] += g[cells]
     return gc
 
 
@@ -522,12 +526,12 @@ class Tape:
     box, the record's box from :func:`_demand`: ``conv`` saves ``(src,
     mask)``, ``pool`` its winner indices, ``cat`` the skip's channel count
     and ``head`` its input.  A conv's mask is its ReLU mask, and src holds
-    the sources :func:`_conv_window` builds its windows from: ``((x,
-    x_lo),)``, its input and that input's origin, or for a ``.merge`` conv
-    the skip and the coarse ``.reduce`` output with their origins.  So the
-    skip stays on the tape, and the merge input exists only one window at a
-    time.  ``out`` is the sigmoid output on the box the forward was asked
-    for, (1, D, H, W).
+    the sources :func:`_conv_window` builds its slab windows from, in the
+    forward and in the weight gradient: ``((x, x_lo),)``, its input and that
+    input's origin, or for a ``.merge`` conv the skip and the coarse
+    ``.reduce`` output with their origins.  So the skip stays on the tape,
+    and the merge input never exists whole.  ``out`` is the sigmoid output
+    on the box the forward was asked for, (1, D, H, W).
     """
 
     params: NetParams
@@ -621,14 +625,13 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
 
     Walks the tape once in reverse, carrying the gradient only on its
     support: the bounding box of the nonzeros of ``grad_out`` (the crop for
-    a defect-crop loss, the whole grid for a full-volume one) is handed to
+    a defect-crop loss, the whole grid for a full-volume one) goes to
     :func:`_demand`, and at record k the gradient lives on that walk's box k
-    and the record's input gradient goes on box k - 1.  Those boxes stay
-    inside the forward's, and saved arrays are indexed through their
-    records' origins.  A conv takes its weight gradient on its box from the
-    input's window, whose one-voxel halo holds real neighbours and zeros
-    only at grid faces; its input gradient convolves the same zero-framed
-    copy of the gradient, exact since the gradient vanishes outside its box.
+    and the record's input gradient on box k - 1, inside the forward's
+    boxes; saved arrays are indexed through their records' origins.  A conv
+    walks the forward's z-slabs for its weight gradient, against its input's
+    slab windows, and for its input gradient, over one zero-framed copy of
+    the gradient, exact since the gradient vanishes outside its box.
     ``cat`` pushes the skip's gradient, which the matching ``pool`` adds
     into the winners' gradient, and sums the rest into the coarse box (see
     :func:`_doubling_grad`).  ``grad_out`` must match the dims of the tape's
@@ -664,16 +667,12 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
             src, mask = saved
             g = g * mask[_at(lo - o, hi - o)]
             gp = _frame(g)
-            grads[f"{layer}.w"] = _conv3_weight_grad(_conv_window(src, lo, hi), gp)
+            grads[f"{layer}.w"] = _conv3_weight_grad(src, lo, hi, gp)
             grads[f"{layer}.b"] = g.sum(axis=(1, 2, 3))
             if k:  # nothing reads the gradient of the net's input
-                # the input box is this box grown by one voxel a side, as far as
-                # the grid goes: [s, e) of the frame's grown box, whose planes
-                # s[0] .. e[0]+2 are all the walk needs for that z range
+                # the input box is this box grown by one voxel a side, as far as the grid goes
                 a, b = boxes[k - 1]
-                s, e = a - lo + 1, b - lo + 1
-                gx = _conv3(gp[:, s[0] : e[0] + 3], _w2_flipped(t[f"{layer}.w"]))
-                g = gx[:, :, s[1] : e[1], s[2] : e[2]]
+                g = _conv3_input_grad(gp, a - lo + 1, b - lo + 1, t[f"{layer}.w"])
         elif op == "cat":
             skip_grads.append((g[:saved], lo))
             g = _doubling_grad(g[saved:], lo, *boxes[k - 1])

@@ -159,6 +159,9 @@ def eval_csv(ids: list[str], reports: list[MetricReport]) -> str:
     lines = ["case,dsc,hd_mm,hd_ab,hd_ba"]
     for i, (cid, r) in enumerate(zip(ids, reports)):
         if _bad_case_id(cid):
-            raise DomainError(f"case {i}: id {cid!r} is empty or holds a comma, a quote, CR or LF")
+            raise DomainError(
+                f"case {i}: id {cid!r} is empty or holds a comma, a quote, CR or LF or another line break,"
+                " or a blank at an end"
+            )
         lines.append(f"{cid},{r.dsc!r},{r.hd!r},{r.hd_ab!r},{r.hd_ba!r}")
     return "\n".join(lines) + "\n"

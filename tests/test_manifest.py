@@ -1,9 +1,14 @@
 """Manifest text format: round trips, strict key set, file checks."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ribfill.grid import Box
-from ribfill.manifest import CaseManifest, ManifestError, read_manifest, write_manifest
+from ribfill.manifest import CaseManifest, ManifestError, _bad_case_id, read_manifest, write_manifest
 
 
 def _manifest():
@@ -134,3 +139,26 @@ def test_read_rejects_a_case_id_that_would_break_a_csv_row(tmp_path, cid):
     path.write_text(path.read_text().replace("case_id = case007", f"case_id = {cid}"))
     with pytest.raises(ManifestError, match="^case_id: "):
         read_manifest(path)
+
+
+# line breaks that str.splitlines splits at besides CR and LF, and blanks at an end, which read_manifest strips
+@pytest.mark.parametrize("cid", ["a\x0bb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\u2029b", " a", "a ", "a\xa0"])
+def test_case_id_that_a_manifest_cannot_give_back_rejected(cid):
+    with pytest.raises(ManifestError, match="^case_id: .* another line break, or a blank at an end$"):
+        CaseManifest(**{**_manifest().__dict__, "case_id": cid})
+
+
+_ID_CHARS = st.one_of(st.characters(), st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u2029\r\n,\"=#"))
+
+
+@settings(max_examples=300)
+@given(st.text(_ID_CHARS, max_size=8))
+def test_an_accepted_case_id_survives_a_manifest_round_trip(cid):
+    """Every id CaseManifest accepts comes back from write_manifest and read_manifest as written."""
+    assume(not _bad_case_id(cid))
+    m = CaseManifest(**{**_manifest().__dict__, "case_id": cid})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.manifest"
+        write_manifest(path, m)
+        _touch_volumes(Path(tmp), m)
+        assert read_manifest(path).case_id == cid

@@ -126,17 +126,26 @@ def test_maxpool_ties_route_to_first_in_scan_order():
     assert idx2.reshape(-1).tolist() == [6]  # dz=1, dy=1, dx=0
 
 
-# (Ci, Co, D, H, W) and the block budget.  At 3500 bytes the walk over a
-# 3x4x7 grid (padded rows of Wp = 9 columns; 162 output columns for the
-# input's window, 270 for the framed gradient) takes blocks 24 columns wide
-# (22 output columns) for Ci = 2 and 16 wide (14) for Ci = 3: several full
-# blocks, a short tail, and block edges in the middle of a row.
+def _window(src, lo, hi):
+    """The conv window of the box [lo, hi) that src holds, in a new buffer of its size."""
+    c = sum(x.shape[0] for x, _ in src)
+    return netmod._conv_window(src, lo, hi, np.empty(c * math.prod(hi - lo + (3, 2, 2))))
+
+
+# (Ci, Co, D, H, W) and the block budget.  Slabs of two planes split the
+# box's 3 or 4 planes for the forward and dW, and the grown box's 5 or 6 for
+# dX.  At 3500 bytes the walk over one slab of a 3x4x7 grid (padded rows of
+# Wp = 9 columns; 108 output columns for a slab's window and for a slab of
+# the framed gradient) takes blocks 24 columns wide (22 output columns) for
+# Ci = 2 and 16 wide (14) for Ci = 3: several full blocks, a short last
+# one, and block edges in the middle of a row.
 @pytest.mark.parametrize("shape, block_bytes", [
     ((3, 2, 4, 5, 6), None),
     ((2, 3, 3, 4, 7), 3500),
 ], ids=["one-block", "many-blocks"])
 def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
     c_in, c_out, d, h, w_ = shape
+    monkeypatch.setattr(netmod, "_SLAB_PLANES", 2)
     if block_bytes is not None:
         monkeypatch.setattr(netmod, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(4)
@@ -155,26 +164,30 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
         ref_gw[co, ci, dz, dy, dx] = np.sum(gy[co] * xp[win])
         ref_gxp[win] += w[co, ci, dz, dy, dx] * gy[co]
 
-    o = np.zeros(3, dtype=int)
-    xp = netmod._conv_window(((x, o),), o, np.array((d, h, w_)))
+    o, hi = np.zeros(3, dtype=int), np.array((d, h, w_))
+    src = ((x, o),)
     gp = netmod._frame(gy)
-    y = netmod._conv3(xp, netmod._w2(w))[:, :, :h, :w_]
-    assert np.allclose(y, ref, rtol=0, atol=1e-12)
-    y = netmod._conv_layer(((x, o),), o, np.array((d, h, w_)), w, b)
+    y = netmod._conv_layer(src, o, hi, w, b)
     assert np.allclose(y, ref + b[:, None, None, None], rtol=0, atol=1e-12)
-    gw = netmod._conv3_weight_grad(xp, gp)
+    # dW adds the partials of two slabs
+    gw = netmod._conv3_weight_grad(src, o, hi, gp)
     assert np.allclose(gw, ref_gw, rtol=0, atol=1e-12)
-    # the transposed conv fills the grid grown by one voxel a side, halo included
-    gx = netmod._conv3(gp, netmod._w2_flipped(w))
+    # the transposed conv fills the grid grown by one voxel a side, halo included, from three slab views
+    gx = netmod._conv3_input_grad(gp, o, hi + 2, w)
     assert np.allclose(gx, ref_gxp, rtol=0, atol=1e-12)
     if block_bytes is not None:
-        for win in (xp, gp):  # the forward/dW walk and the dX walk
-            blocks = [(cols, blk.shape[1]) for cols, blk in netmod._patches(win)]
+        # the walk over the first slab's window (forward and dW) and over the first slab of the frame (dX)
+        ((_, win, wbuf),) = netmod._slab_plan(c_in, None, d, h, w_, True)
+        ((_, _, gbuf, _),) = netmod._slab_plan(c_out, c_in, d + 2, h, w_, False)
+        for xp, buf in ((netmod._conv_window(src, o, np.array((2, h, w_)), win), wbuf), (gp[:, :5], gbuf)):
+            blocks = [(cols, blk.shape[1]) for cols, blk in netmod._patches(xp, buf)]
             spans = [cols.stop - cols.start for cols, _ in blocks]
             assert len(spans) > 2 and 0 < spans[-1] < spans[0]
             assert any(cols.start % (w_ + 2) for cols, _ in blocks)
-            # every GEMM is a multiple of 8 columns wide, the short tail too
-            assert all(width % 8 == 0 and width >= span + 2 for (_, width), span in zip(blocks, spans))
+            # every GEMM is a multiple of 8 columns wide: a full block holds its span and two halo
+            # columns, and the last one is that rounded up to 8
+            assert all(width % 8 == 0 for _, width in blocks)
+            assert [width for _, width in blocks] == [span + 2 for span in spans[:-1]] + [(spans[-1] + 9) & ~7]
 
 
 # the last case scores the loss on a crop touching the x = 0 face, so backward
@@ -205,7 +218,7 @@ def _dense_backward(tape, grad_out):
             w = t[f"{layer}.w"]
             g = g * mask
             _, d, h, w_ = mask.shape
-            xp = netmod._conv_window(src, np.zeros(3, dtype=int), np.array(mask.shape[1:]))[:, :-1]
+            xp = _window(src, np.zeros(3, dtype=int), np.array(mask.shape[1:]))[:, :-1]
             gxp = np.zeros(xp.shape)
             gw = np.zeros(w.shape)
             for dz, dy, dx in itertools.product(range(3), repeat=3):
@@ -466,7 +479,7 @@ def test_forward_matches_the_reference_layers_bitwise(depth, biases):
                     assert saved.tobytes() == ref_saved.tobytes(), (where, layer)
                 elif op == "conv":  # the input's window on the box, and the mask
                     hi = lo + saved[1].shape[1:]
-                    xp, ref_xp = (netmod._conv_window(rec[0], lo, hi) for rec in (saved, ref_saved))
+                    xp, ref_xp = (_window(rec[0], lo, hi) for rec in (saved, ref_saved))
                     assert xp.tobytes() == ref_xp.tobytes(), (where, layer)
                     assert saved[1].tobytes() == ref_saved[1].tobytes(), (where, layer)
             g = Volume(rng.normal(size=out.data.shape), S)
@@ -553,6 +566,26 @@ def test_forward_streams_each_conv_window_in_slabs(monkeypatch):
             while isinstance(a.base, np.ndarray):
                 a = a.base
             assert a.nbytes < window, (op, layer, a.shape)
+
+
+def test_weight_gradient_walks_the_merge_window_in_slabs():
+    """At 32x64x64, dec0.merge's weight gradient on the whole grid peaks under half the bytes of
+    that conv's whole window: it builds one slab's window at a time, as the forward does."""
+    cfg = NetConfig(depth=2, base_channels=8)
+    params = init_params(cfg, seed=0)
+    _, tape = forward(params, unit_volume(np.random.default_rng(14), (64, 64, 32)))
+    lo, (src, mask) = next((lo, saved) for _, layer, lo, saved in tape.records if layer == "dec0.merge")
+    c_in = {name: ci for name, ci, _ in cfg.layer_plan()}["dec0.merge"]
+    window = c_in * (32 + 3) * (64 + 2) * (64 + 2) * 8  # (Ci, D+3, H+2, W+2) float64
+    gp = netmod._frame(np.random.default_rng(15).normal(size=mask.shape))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        netmod._conv3_weight_grad(src, lo, lo + mask.shape[1:], gp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < window / 2, (peak, window)
 
 
 def _forward_bytes(params, vol):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import ribfill.net as netmod
 from ribfill.grid import UNIT, Box, Volume
 from ribfill.net import NetConfig, backward, forward, init_params
-from test_net import _dense_backward
+from test_net import _dense_backward, _window
 
 S = (1.0, 1.0, 1.0)
 
@@ -158,6 +158,29 @@ def test_two_worker_walk_equals_the_one_worker_walk(case, block_bytes):
     assert runs[0] == runs[1]
 
 
+@settings(max_examples=100)
+@given(
+    st.tuples(*(st.integers(1, 6) for _ in range(5))),
+    st.tuples(*(st.booleans() for _ in range(6))),
+    st.integers(1, 4),
+    st.integers(1 << 9, 1 << 14),
+    st.integers(0, 2**32 - 1),
+)
+def test_input_gradient_ignores_its_slab_bounds(shape, clipped, slab, block_bytes, seed):
+    """dX is byte-equal whether its slabs hold a few planes or the whole grown box, on a box grown
+    or clipped at each face: no voxel it keeps falls in the ragged tail of a GEMM (see net._patches)."""
+    c_in, c_out, *box = shape
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(c_out, c_in, 3, 3, 3))
+    gp = netmod._frame(rng.normal(size=(c_out, *box)))
+    s, e = np.array(clipped[:3], dtype=int), np.array(box) + 2 - np.array(clipped[3:], dtype=int)
+    runs = []
+    for planes in (slab, 64):
+        with mock.patch.object(netmod, "_SLAB_PLANES", planes), mock.patch.object(netmod, "_BLOCK_BYTES", block_bytes):
+            runs.append(netmod._conv3_input_grad(gp, s, e, w).tobytes())
+    assert runs[0] == runs[1]
+
+
 def _fine_boxes():
     """A box [lo, hi) anywhere on a grid, odd bounds and one-voxel extents included."""
     axis = st.tuples(st.integers(0, 21), st.integers(1, 6))
@@ -232,7 +255,7 @@ def test_conv_window_equals_the_padded_concatenation_bitwise(case, reuse):
     src, lo, hi, ref = case
     assert not np.isnan(ref).any()  # the sources hold every voxel the window reads
     if not reuse:
-        got = netmod._conv_window(src, lo, hi)
+        got = _window(src, lo, hi)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         return
     buf = np.full(ref.size + 5, np.nan)
@@ -270,13 +293,14 @@ def test_pool_gradient_equals_the_scatter_bitwise(shape, seed):
 
 
 def _doubling_grad_padded(g, lo):
-    """g zero-padded to the even-aligned box, then each 2x2x2 block summed x pair first, then the pairs in scan order."""
+    """g zero-padded to the even-aligned box, then each 2x2x2 block summed in scan order onto a zero."""
     a, b = lo >> 1, (lo + g.shape[1:] + 1) >> 1
     pad = np.zeros((g.shape[0], *(2 * (b - a))))
     pad[netmod._at(lo - 2 * a, lo - 2 * a + g.shape[1:])] = g
-    t = [pad[:, rz::2, ry::2, rx::2] for rz, ry, rx in itertools.product((0, 1), repeat=3)]
-    pairs = [t[i] + t[i + 1] for i in range(0, 8, 2)]
-    return ((pairs[0] + pairs[1]) + pairs[2]) + pairs[3]
+    total = np.zeros((g.shape[0], *(b - a)))
+    for rz, ry, rx in itertools.product((0, 1), repeat=3):
+        total += pad[:, rz::2, ry::2, rx::2]
+    return total
 
 
 @settings(max_examples=150)
