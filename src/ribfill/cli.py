@@ -5,7 +5,10 @@
 ``eval`` scores a checkpoint, and ``gradcheck`` verifies loss gradients
 against finite differences.  Every subcommand takes ``--seed`` and
 ``--out-dir`` and is deterministic and idempotent for fixed inputs:
-rerunning writes byte-identical files.
+rerunning writes byte-identical files.  Every file is written atomically
+(:func:`ribfill.grid._write_atomic`): a failed write leaves the previous file
+whole, and a killed process may leave a ``<name>.<pid>.tmp`` beside an intact
+target.  ``prep`` writes a case's manifest after its volumes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .defects import (
     normalized_working_ct,
     prepare_case,
 )
-from .grid import UNIT, Mask, Volume, binarize
+from .grid import UNIT, Mask, Volume, _write_atomic, binarize
 from .losses import LOSS_KINDS, finite_diff_check
 from .manifest import CaseManifest, ManifestError, read_manifest, write_manifest
 from .metrics import EmptyMaskError
@@ -87,9 +90,13 @@ def _case_id(path: Path) -> str:
 def _cmd_prep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     config = _pipeline_config(args)
-    for i, ct_path in enumerate(args.ct):
-        ct_path = Path(ct_path)
+    ct_paths: dict[str, Path] = {}
+    for ct_path in map(Path, args.ct):
         cid = _case_id(ct_path)
+        if cid in ct_paths:
+            raise ManifestError(f"case_id: {ct_paths[cid]} and {ct_path} both give case id {cid!r}")
+        ct_paths[cid] = ct_path
+    for i, (cid, ct_path) in enumerate(ct_paths.items()):
         seed = args.seed + i
         ct = read_volume(ct_path, domain="HU")[0]
         case = prepare_case(ct, config, seed)
@@ -152,7 +159,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     ckpt = out / "checkpoint.bin"
     save_checkpoint(ckpt, result.params, result.opt)
     log_path = out / "training_log.csv"
-    log_path.write_text(train_log_csv(result.log), encoding="utf-8")
+    _write_atomic(log_path, train_log_csv(result.log).encode("utf-8"))
     print(f"wrote {ckpt}")
     print(f"wrote {log_path}")
     if result.log:
@@ -178,7 +185,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except EmptyMaskError as exc:
         raise EmptyMaskError(f"{args.manifests[exc.case]}: {exc}", exc.case) from None
     table = out / "metrics.csv"
-    table.write_text(eval_csv(ids, reports), encoding="utf-8")
+    _write_atomic(table, eval_csv(ids, reports).encode("utf-8"))
     print(f"wrote {table}")
     mean_dsc = sum(r.dsc for r in reports) / len(reports)
     mean_hd = sum(r.hd for r in reports) / len(reports)

@@ -8,11 +8,17 @@ axis is z, i.e. array axis 0.
 
 Volumes are immutable: the wrapped array is marked read-only at construction
 and every operation returns a fresh instance.
+
+Every artifact the toolkit writes (NIfTI volumes, manifests, checkpoints and
+the CLI's CSVs) reaches disk through :func:`_write_atomic`, so a failed or
+killed writer leaves the previous file whole, never a torn one.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -216,3 +222,28 @@ def crop(v: Volume, box: Box) -> Volume:
     if isinstance(v, Mask):
         return Mask(out, v.spacing)
     return Volume(out, v.spacing, v.domain)
+
+
+# ---------------------------------------------------------------------------
+# file output
+
+
+def _write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data`` so that it is never seen half written.
+
+    The bytes go to ``<name>.<pid>.tmp`` beside ``path``, are flushed and
+    synced to disk and then renamed onto it.  A failed or interrupted write
+    removes the temporary and leaves the previous file whole; only a killed
+    process can leave the temporary behind, next to an intact target.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

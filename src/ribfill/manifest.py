@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grid import BoundsError, Box
+from .grid import BoundsError, Box, _write_atomic
 
 _VOLUME_KEYS = ("ct", "bone", "defective", "implant")
 _ALL_KEYS = (
@@ -31,20 +31,32 @@ class ManifestError(ValueError):
     """Raised for unreadable, incomplete, or contradictory manifests."""
 
 
+def _bad_value(text: str) -> bool:
+    """Whether ``text`` cannot be a manifest value that :func:`read_manifest` gives back as written.
+
+    It cannot if it is empty, holds a line break of any kind (CR, LF, or any
+    other that ``str.splitlines`` splits at, on which :func:`read_manifest`
+    would split it), or has a blank at either end (which :func:`read_manifest`
+    would strip).
+    """
+    return text.splitlines() != [text] or text != text.strip()
+
+
 def _bad_case_id(case_id: str) -> bool:
     """Whether ``case_id`` cannot be one plain field of a CSV row that a manifest gives back as written.
 
-    It cannot if it is empty or holds a comma or a quote, or a line break of
-    any kind (CR, LF, or any other that ``str.splitlines`` splits at, on
-    which :func:`read_manifest` would split it), or a blank at either end
-    (which :func:`read_manifest` would strip).
+    It cannot if :func:`_bad_value` says so or if it holds a comma or a quote.
     """
-    return case_id.splitlines() != [case_id] or case_id != case_id.strip() or any(ch in case_id for ch in ',"')
+    return _bad_value(case_id) or any(ch in case_id for ch in ',"')
 
 
 @dataclass(frozen=True)
 class CaseManifest:
-    """One prepared case: where its volumes live and how they were made."""
+    """One prepared case: where its volumes live and how they were made.
+
+    Construction rejects what :func:`read_manifest` would reject or give back
+    changed, so every manifest that constructs survives a write and a read.
+    """
 
     case_id: str
     seed: int
@@ -63,6 +75,16 @@ class CaseManifest:
                 f"case_id: {self.case_id!r} is empty or holds a comma, a quote, CR or LF or another line break,"
                 " or a blank at an end"
             )
+        for key in _VOLUME_KEYS:
+            if _bad_value(getattr(self, key)):
+                raise ManifestError(
+                    f"{key}: volume name {getattr(self, key)!r} is empty, spans more than one line"
+                    " or has a blank at an end"
+                )
+        if not self.box.fits(self.dims):
+            raise ManifestError(f"box_origin/box_size: box {self.box.origin}+{self.box.size} exceeds dims {self.dims}")
+        if not self.window[0] < self.window[1]:
+            raise ManifestError(f"window: lower bound must be below upper, got {self.window}")
 
     def volume_path(self, key: str, manifest_path: str | Path) -> Path:
         """Resolve one of the stored volume paths against the manifest location."""
@@ -106,7 +128,7 @@ def write_manifest(path: str | Path, m: CaseManifest) -> None:
         f"hu_threshold = {m.hu_threshold!r}",
         "window = {!r} {!r}".format(*m.window),
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest(path: str | Path) -> CaseManifest:
@@ -135,16 +157,10 @@ def read_manifest(path: str | Path) -> CaseManifest:
         if key not in pairs:
             raise ManifestError(f"missing key {key!r}")
 
-    dims = _ints(pairs["dims"], "dims", 3)
     try:
         box = Box(_ints(pairs["box_origin"], "box_origin", 3), _ints(pairs["box_size"], "box_size", 3))
     except BoundsError as exc:
         raise ManifestError(str(exc)) from None
-    if not box.fits(dims):
-        raise ManifestError(f"box_origin/box_size: box {box.origin}+{box.size} exceeds dims {dims}")
-    window = _floats(pairs["window"], "window", 2)
-    if not window[0] < window[1]:
-        raise ManifestError(f"window: lower bound must be below upper, got {window}")
     try:
         seed = int(pairs["seed"])
     except ValueError as exc:
@@ -153,14 +169,14 @@ def read_manifest(path: str | Path) -> CaseManifest:
     m = CaseManifest(
         case_id=pairs["case_id"],
         seed=seed,
-        dims=dims,
+        dims=_ints(pairs["dims"], "dims", 3),
         ct=pairs["ct"],
         bone=pairs["bone"],
         defective=pairs["defective"],
         implant=pairs["implant"],
         box=box,
         hu_threshold=_floats(pairs["hu_threshold"], "hu_threshold", 1)[0],
-        window=window,
+        window=_floats(pairs["window"], "window", 2),
     )
     for key in _VOLUME_KEYS:
         target = m.volume_path(key, path)

@@ -62,7 +62,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -71,7 +70,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import UNIT, BoundsError, Box, DomainError, ShapeError, Volume
+from .grid import UNIT, BoundsError, Box, DomainError, ShapeError, Volume, _write_atomic
 
 
 class CheckpointError(ValueError):
@@ -756,9 +755,8 @@ _CKPT_VERSION = 1
 def save_checkpoint(path, params: NetParams, opt: OptState) -> None:
     """Versioned little-endian binary dump of parameters and optimiser state.
 
-    The bytes go to a temporary file beside ``path``, are synced to disk and
-    then renamed onto it, so a failed or interrupted save leaves the previous
-    checkpoint whole and no temporary file behind.
+    It is written atomically by :func:`ribfill.grid._write_atomic`, so a
+    failed or interrupted save leaves the previous checkpoint whole.
     """
     cfg = params.config
     chunks: list[bytes] = [
@@ -787,17 +785,7 @@ def save_checkpoint(path, params: NetParams, opt: OptState) -> None:
         for store in (opt.m, opt.v):
             for name in params.tensors:
                 chunks.append(np.ascontiguousarray(store[name], dtype="<f8").tobytes())
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(chunks))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_atomic(path, b"".join(chunks))
 
 
 class _Reader:

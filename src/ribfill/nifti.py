@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DOMAINS, UNBOUNDED, UNIT, DomainError, Volume
+from .grid import DOMAINS, UNBOUNDED, UNIT, DomainError, Volume, _write_atomic
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352
@@ -111,7 +111,9 @@ def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> Volu
 
     float32 stores values as-is (they must be exactly representable ones if
     a bitwise round trip is expected).  uint8 requires the unit domain and
-    quantises by round-half-up to 0..255.
+    quantises by round-half-up to 0..255.  The file is written atomically by
+    :func:`ribfill.grid._write_atomic`, so a failed or interrupted write
+    leaves the previous file whole.
     """
     if datatype not in _DTYPES:
         raise NiftiError("datatype", f"unsupported datatype {datatype!r}")
@@ -122,11 +124,8 @@ def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> Volu
     else:
         payload = v.data.astype("<f4")
     header = VolumeHeader(dims=v.dims, spacing=v.spacing, datatype=datatype)
-    raw = _pack_header(header)  # before the target is opened, so a bad header leaves it as it was
-    with open(path, "wb") as fh:
-        fh.write(raw)
-        fh.write(b"\x00\x00\x00\x00")
-        fh.write(payload.tobytes())
+    raw = _pack_header(header)  # a bad header raises here, before any file is made or touched
+    _write_atomic(path, raw + b"\x00\x00\x00\x00" + payload.tobytes())
     return header
 
 

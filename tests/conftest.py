@@ -1,6 +1,9 @@
 """Shared helpers plus a per-criterion summary for the acceptance tests."""
 
+import errno
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +115,59 @@ def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, st
             rel = abs(gflat[j] - numeric) / max(abs(gflat[j]), abs(numeric), 1e-8)
             worst = max(worst, rel)
     return worst
+
+
+class _HalfWriter:
+    """A file whose write stores half the bytes and then fails, as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def fail_atomic_write(monkeypatch, target, step):
+    """Make ``grid._write_atomic`` fail at ``step`` (``write``, ``fsync`` or ``replace``) while it writes ``target``.
+
+    Writes to other paths go through, so a CLI stage can write its other files
+    before the one that fails.
+    """
+    import ribfill.grid as gridmod
+
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    real_fsync, real_replace = os.fsync, os.replace
+    tmp_fds = set()
+
+    def open_(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if Path(file) != tmp:
+            return fh
+        if step == "write":
+            return _HalfWriter(fh)
+        tmp_fds.add(fh.fileno())
+        return fh
+
+    def fsync(fd):
+        if step == "fsync" and fd in tmp_fds:
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        if step == "replace" and Path(src) == tmp:
+            raise OSError(errno.EIO, "Input/output error")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(gridmod, "open", open_, raising=False)
+    monkeypatch.setattr(gridmod.os, "fsync", fsync)
+    monkeypatch.setattr(gridmod.os, "replace", replace)
 
 
 _TITLES = {

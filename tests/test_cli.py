@@ -1,8 +1,11 @@
 """End-to-end runs of every subcommand through ``main``."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from conftest import fail_atomic_write
 from ribfill.cli import main
 from ribfill.losses import LOSS_KINDS
 from ribfill.manifest import read_manifest
@@ -76,6 +79,28 @@ def test_prep_rejects_a_case_id_that_breaks_csv_rows_before_writing(tmp_path, ca
     assert run_prep(out, [ct]) == 1
     assert capsys.readouterr().err.startswith("error: case_id: 'a,b' is empty or holds a comma")
     assert list(out.iterdir()) == []
+
+
+def test_prep_rejects_a_repeated_case_id_before_writing(tmp_path, capsys):
+    run_phantom(tmp_path / "a")
+    a, b = tmp_path / "a" / "case000_ct.nii", tmp_path / "b" / "case000_ct.nii"
+    b.parent.mkdir()
+    shutil.copy(a, b)
+    out = tmp_path / "prep"
+    assert run_prep(out, [a, b]) == 1
+    assert capsys.readouterr().err == f"error: case_id: {a} and {b} both give case id 'case000'\n"
+    assert list(out.iterdir()) == []
+
+
+def test_prep_that_fails_writing_a_volume_leaves_no_manifest(tmp_path, monkeypatch, capsys):
+    run_phantom(tmp_path)
+    out = tmp_path / "prep"
+    out.mkdir()
+    fail_atomic_write(monkeypatch, out / "case000_defective.nii", "write")
+    assert run_prep(out, [tmp_path / "case000_ct.nii"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 28] No space left on device")
+    # the manifest is written last, so no manifest names a volume that is missing or torn
+    assert sorted(p.name for p in out.iterdir()) == ["case000_bone.nii", "case000_ct.nii"]
 
 
 def test_prep_defect_flags_reach_placement(tmp_path):

@@ -1,11 +1,12 @@
-"""Volume construction rules, thresholding, resampling, cropping."""
+"""Volume construction rules, thresholding, resampling, cropping, atomic writes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mask, unit_volume
+from conftest import fail_atomic_write, random_mask, unit_volume
+from ribfill.cli import build_parser, main
 from ribfill.grid import (
     HU,
     UNIT,
@@ -19,6 +20,9 @@ from ribfill.grid import (
     crop,
     trilinear_resize,
 )
+from ribfill.manifest import read_manifest, write_manifest
+from ribfill.net import NetConfig, OptState, init_params, save_checkpoint
+from ribfill.nifti import write_volume
 
 S = (1.0, 1.0, 1.0)
 
@@ -215,3 +219,50 @@ def test_crop_paste_bounds_errors():
         Box((0, 0, -1), (1, 1, 1))
     with pytest.raises(BoundsError):
         Box((0, 0, 0), (0, 1, 1))
+
+
+@pytest.fixture(scope="module")
+def small_case(tmp_path_factory):
+    """A prepared 32x32x16 case and a checkpoint whose every output is 0.5, so no prediction is empty."""
+    root = tmp_path_factory.mktemp("small_case")
+    assert main(["phantom", "--dims", "32", "32", "16", "--out-dir", str(root / "raw")]) == 0
+    assert main(["prep", str(root / "raw" / "case000_ct.nii"), "--work-dims", "32", "32", "16",
+                 "--out-dir", str(root / "prep")]) == 0
+    params = init_params(NetConfig(depth=1, base_channels=2), seed=0)
+    params.tensors["head.w"][:] = 0.0
+    params.tensors["head.b"][:] = 0.0
+    checkpoint = root / "checkpoint.bin"
+    save_checkpoint(checkpoint, params, OptState())
+    return root / "prep" / "case000.manifest", checkpoint
+
+
+def _run_cli(argv):
+    """Run a subcommand without ``main``'s error handling, so its OSError reaches the test."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# every artifact writer: the file it writes and a call that writes it into a directory
+_WRITERS = {
+    "save_checkpoint": ("ck.bin", lambda out, case: save_checkpoint(
+        out / "ck.bin", init_params(NetConfig(depth=1, base_channels=1), seed=1), OptState())),
+    "write_volume": ("v.nii", lambda out, case: write_volume(out / "v.nii", Volume(np.ones((4, 3, 2)), S))),
+    "write_manifest": ("m.manifest", lambda out, case: write_manifest(out / "m.manifest", read_manifest(case[0]))),
+    "training_log.csv": ("training_log.csv", lambda out, case: _run_cli([
+        "train", str(case[0]), "--steps", "1", "--depth", "1", "--base-channels", "2", "--out-dir", str(out)])),
+    "metrics.csv": ("metrics.csv", lambda out, case: _run_cli([
+        "eval", str(case[0]), "--checkpoint", str(case[1]), "--out-dir", str(out)])),
+}
+
+
+@pytest.mark.parametrize("step", ["write", "fsync", "replace"])
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_a_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, small_case, writer, step):
+    name, write = _WRITERS[writer]
+    target = tmp_path / name
+    target.write_bytes(b"previous bytes\n")
+    fail_atomic_write(monkeypatch, target, step)
+    with pytest.raises(OSError):
+        write(tmp_path, small_case)
+    assert target.read_bytes() == b"previous bytes\n"
+    assert not list(tmp_path.glob("*.tmp"))

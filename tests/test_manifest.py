@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ribfill.grid import Box
-from ribfill.manifest import CaseManifest, ManifestError, _bad_case_id, read_manifest, write_manifest
+from ribfill.manifest import _VOLUME_KEYS, CaseManifest, ManifestError, _bad_case_id, read_manifest, write_manifest
 
 
 def _manifest():
@@ -162,3 +162,62 @@ def test_an_accepted_case_id_survives_a_manifest_round_trip(cid):
         write_manifest(path, m)
         _touch_volumes(Path(tmp), m)
         assert read_manifest(path).case_id == cid
+
+
+def test_window_out_of_order_rejected_at_construction():
+    with pytest.raises(ManifestError, match=r"^window: lower bound must be below upper, got \(1\.0, 0\.0\)$"):
+        CaseManifest(**{**_manifest().__dict__, "window": (1.0, 0.0)})
+
+
+def test_box_that_overruns_dims_rejected_at_construction():
+    with pytest.raises(ManifestError, match=r"^box_origin/box_size: box \(60, 20, 16\)\+\(16, 16, 16\) exceeds dims"):
+        CaseManifest(**{**_manifest().__dict__, "box": Box((60, 20, 16), (16, 16, 16))})
+
+
+@pytest.mark.parametrize("name", ["", " c.nii", "c.nii ", "c.nii\t", "a\nb.nii", "a\rb.nii", "a\u2028b.nii"])
+def test_volume_name_a_manifest_cannot_give_back_rejected(name):
+    for key in _VOLUME_KEYS:
+        with pytest.raises(ManifestError, match=f"^{key}: volume name .* is empty, spans more than one line"):
+            CaseManifest(**{**_manifest().__dict__, key: name})
+
+
+# manifest values that construct: no blank at either end; inner blanks, tabs, control characters,
+# "=" and "#" allowed; no line break, comma or quote (the tests above reject those), and no "/" or NUL,
+# so that each volume name is one file name ("." and ".." name directories)
+_EDGE = st.characters(exclude_categories=("Cc", "Cs", "Z"), exclude_characters='/,"')
+_MIDDLE = st.characters(exclude_categories=("Cs",), exclude_characters='/\x00,"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029')
+_VALUES = st.builds(lambda a, mid, b: a + mid + b, _EDGE, st.text(_MIDDLE, max_size=6), _EDGE | st.just(""))
+_NAMES = _VALUES.filter(lambda n: n not in (".", ".."))
+
+
+@st.composite
+def _manifests(draw):
+    """Manifest fields, drawn so that most of them construct: the box is drawn inside the dims."""
+    dims = draw(st.tuples(*[st.integers(1, 12)] * 3))
+    origin = [draw(st.integers(0, n - 1)) for n in dims]
+    size = [draw(st.integers(1, n - o)) for n, o in zip(dims, origin)]
+    window = sorted(draw(st.tuples(st.floats(), st.floats())))
+    return dict(
+        case_id=draw(_VALUES),
+        seed=draw(st.integers(-(2**70), 2**70)),
+        dims=dims,
+        **dict(zip(_VOLUME_KEYS, draw(st.tuples(_NAMES, _NAMES, _NAMES, _NAMES)))),
+        box=Box(tuple(origin), tuple(size)),
+        hu_threshold=draw(st.floats()),
+        window=tuple(window),
+    )
+
+
+@settings(max_examples=300)
+@given(_manifests())
+def test_every_manifest_that_constructs_survives_a_round_trip(fields):
+    try:
+        m = CaseManifest(**fields)
+    except ManifestError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.manifest"
+        write_manifest(path, m)
+        _touch_volumes(Path(tmp), m)
+        # compared by repr, so that a NaN threshold counts as given back
+        assert repr(read_manifest(path)) == repr(m)

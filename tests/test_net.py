@@ -1,6 +1,5 @@
 """Network blocks, gradient checks, optimiser behaviour, checkpoints."""
 
-import errno
 import gc
 import itertools
 import math
@@ -726,42 +725,6 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "ck2.bin"
     save_checkpoint(path2, params2, opt2)
     assert path.read_bytes() == path2.read_bytes()
-
-
-class _HalfWriter:
-    """A file whose write stores half the bytes and then fails, as a full disk does."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-def _failing_fsync(fd):
-    raise OSError(errno.EIO, "Input/output error")
-
-
-@pytest.mark.parametrize("fail_at", ["write", "fsync"])
-def test_failed_checkpoint_save_keeps_the_previous_file(tmp_path, monkeypatch, fail_at):
-    path = tmp_path / "ck.bin"
-    save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=0), OptState())
-    before = path.read_bytes()
-    if fail_at == "write":
-        monkeypatch.setattr(netmod, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False)
-    else:
-        monkeypatch.setattr(netmod.os, "fsync", _failing_fsync)
-    with pytest.raises(OSError):
-        save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=1), OptState())
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
 
 
 def test_load_checkpoint_closes_its_file(tmp_path):
