@@ -36,9 +36,15 @@ def _bad_value(text: str) -> bool:
 
     It cannot if it is empty, holds a line break of any kind (CR, LF, or any
     other that ``str.splitlines`` splits at, on which :func:`read_manifest`
-    would split it), or has a blank at either end (which :func:`read_manifest`
-    would strip).
+    would split it), has a blank at either end (which :func:`read_manifest`
+    would strip), or holds a character that UTF-8 cannot encode, such as the
+    lone surrogate a file name's undecodable byte becomes on POSIX (which
+    :func:`write_manifest` could not write).
     """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
     return text.splitlines() != [text] or text != text.strip()
 
 
@@ -72,14 +78,14 @@ class CaseManifest:
     def __post_init__(self) -> None:
         if _bad_case_id(self.case_id):
             raise ManifestError(
-                f"case_id: {self.case_id!r} is empty or holds a comma, a quote, CR or LF or another line break,"
-                " or a blank at an end"
+                f"case_id: {self.case_id!r} is empty or holds a comma, a quote, CR or LF, a character UTF-8"
+                " cannot encode or another line break, or a blank at an end"
             )
         for key in _VOLUME_KEYS:
             if _bad_value(getattr(self, key)):
                 raise ManifestError(
-                    f"{key}: volume name {getattr(self, key)!r} is empty, spans more than one line"
-                    " or has a blank at an end"
+                    f"{key}: volume name {getattr(self, key)!r} is empty, spans more than one line,"
+                    " holds a character UTF-8 cannot encode or has a blank at an end"
                 )
         if not self.box.fits(self.dims):
             raise ManifestError(f"box_origin/box_size: box {self.box.origin}+{self.box.size} exceeds dims {self.dims}")

@@ -5,9 +5,10 @@ padding, one GEMM per cache-sized column block of a flat zero-framed window
 of the input with the three x taps folded into the kernel's rows.  Every
 conv walk, the forward's and both halves of the backward's, runs in z-slabs
 of a few output planes planned by :func:`_slab_plan`, so no whole window
-and no whole output with its junk columns ever exists.  The forward adds the
-bias into each slab of one compact output, then clamps it in place for the
-ReLU; the weight gradient walks the same slab windows, and the input
+and no whole output with its junk columns ever exists.  The forward finishes
+each slab while it is in cache: it adds the bias into the slab's planes of one
+compact output, clamps them for the ReLU and, after an encoder conv, max-pools
+them; the weight gradient walks the same slab windows, and the input
 gradient convolves the upstream gradient with the offset-flipped,
 in/out-swapped kernel, so no scatter operation ever appears.  A forward conv
 whose slab of half that depth still holds a full patch block of half the
@@ -46,9 +47,12 @@ The forward appends one ``(op, layer, lo, saved)`` record per layer to a
 :class:`Tape`, in execution order, where ``lo`` is the origin of the
 layer's box; the backward pass is reverse-mode differentiation (Griewank &
 Walther, *Evaluating Derivatives*): one walk over those records from last to
-first.  It runs the same demand walk from the support box of the output
-gradient, the bounding box of its nonzeros, so a loss scored on the defect
-crop costs a backward pass over the crop plus a halo of one voxel per conv.
+first.  A conv's record keeps its ReLU output, which a later record holds
+anyway, and no mask: the backward forms the ReLU's mask from that output on
+its box, since max(v, 0) > 0 exactly where v > 0.  It runs the same demand
+walk from the support box of the output gradient, the bounding box of its
+nonzeros, so a loss scored on the defect crop costs a backward pass over the
+crop plus a halo of one voxel per conv.
 Each conv frames its gradient with zeros once, and both its weight gradient
 and its input gradient read that copy.
 
@@ -307,17 +311,21 @@ def _two_workers(c_in: int, d: int, h: int, w: int) -> bool:
     return d > planes > 0 and planes * (h + 2) * (w + 2) >= (_BLOCK_BYTES // 2) // (72 * c_in)
 
 
-def _slab_plan(c_in: int, c_out: int | None, d: int, h: int, w: int, window: bool, workers: int = 1):
+def _slab_plan(
+    c_in: int, c_out: int | None, d: int, h: int, w: int, window: bool, workers: int = 1, pool: bool = False
+):
     """``(slabs, *buffers)`` per worker for a conv walk with ``c_in`` input channels over a (d, h, w) output box.
 
     Worker j takes z-slabs [z0, z1) j, j + workers, ... of ``_SLAB_PLANES //
-    workers`` planes and one ``workers``-th of ``_BLOCK_BYTES``.  Its flat
-    buffers are a slab's window if ``window``, then :func:`_conv3`'s three
-    for ``c_out`` output channels, or, if ``c_out`` is None, the patch blocks
-    alone.  All are allocated in the calling thread: buffers each worker
-    allocated took four 128x128x64 whole-grid forwards from 273 to 299 MB.
+    workers`` planes, rounded up to even if ``pool`` so that each slab holds
+    whole 2x2x2 pool blocks, and one ``workers``-th of ``_BLOCK_BYTES``.  Its
+    flat buffers are a slab's window if ``window``, then :func:`_conv3`'s
+    three for ``c_out`` output channels, or, if ``c_out`` is None, the patch
+    blocks alone.  All are allocated in the calling thread: buffers each
+    worker allocated took four 128x128x64 whole-grid forwards from 273 to 299 MB.
     """
     planes = max(_SLAB_PLANES // workers, 1)
+    planes += planes % 2 if pool else 0
     m = planes * (h + 2) * (w + 2)
     width = _block_width(c_in, m, _BLOCK_BYTES // workers)
     sizes = [c_in * (planes + 3) * (h + 2) * (w + 2)] if window else []
@@ -328,52 +336,63 @@ def _slab_plan(c_in: int, c_out: int | None, d: int, h: int, w: int, window: boo
     ]
 
 
-def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same-padded 3x3x3 conv plus bias, before the ReLU, on the box [lo, hi) of the input that src holds.
+def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarray, pool: bool = False):
+    """Same-padded 3x3x3 conv plus bias and ReLU on the box [lo, hi) of the input that src holds.
 
-    Walks the box in z-slabs, the way patch-based inference runs a layer
-    region by region (Lin et al., MCUNetV2), adding the bias into each slab
-    of one compact (Co, D, H, W) output.  A conv large enough to pay for it
-    (see :func:`_two_workers`) splits its slabs between two worker threads,
-    with BLAS pinned to one thread through the OpenBLAS API and then set
-    back; without that API it keeps one walk.  Neither the slab bounds nor
-    the worker count moves an output bit (see :func:`_patches`).
+    Returns ``(y,)``, the compact (Co, D, H, W) ReLU output, or with ``pool``
+    ``(y, pooled, winners)``, y's :func:`_maxpool2` on the halved box.  Walks
+    the box in z-slabs, the way patch-based inference runs a layer region by
+    region (Lin et al., MCUNetV2), and finishes each slab while it is in
+    cache: it adds the bias into the slab of y, clamps it in place and, with
+    ``pool``, pools it into its planes of the pooled and winner arrays; the
+    slabs of a pooled box, whose bounds are even, hold whole pool blocks
+    (see :func:`_slab_plan`).  A conv large enough to pay for it (see
+    :func:`_two_workers`) splits its slabs between two worker threads, with
+    BLAS pinned to one thread through the OpenBLAS API and then set back;
+    without that API it keeps one walk.  Neither the slab bounds nor the
+    worker count moves an output bit (see :func:`_patches`).
     """
     c_out, c_in = w.shape[:2]
     w2 = _w2(w)
     bias = b[:, None, None, None]
     d, h, w_ = hi - lo
     y = np.empty((c_out, d, h, w_))
+    half = (c_out, d // 2, h // 2, w_ // 2)
+    outs = (y, np.empty(half), np.empty(half, dtype=np.uint8)) if pool else (y,)
     blas = _openblas() if _two_workers(c_in, d, h, w_) else None
-    walks = _slab_plan(c_in, c_out, d, h, w_, True, 1 if blas is None else 2)
+    walks = _slab_plan(c_in, c_out, d, h, w_, True, 1 if blas is None else 2, pool)
 
     def walk(slabs, win: np.ndarray, *bufs: np.ndarray) -> None:
         for z0, z1 in slabs:
             yp = _conv3(_conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:])), win), w2, *bufs)
-            np.add(yp[:, :, :h, :w_], bias, out=y[:, z0:z1])
+            ys = y[:, z0:z1]
+            np.add(yp[:, :, :h, :w_], bias, out=ys)
+            np.maximum(ys, 0.0, out=ys)
+            if pool:
+                outs[1][:, z0 // 2 : z1 // 2], outs[2][:, z0 // 2 : z1 // 2] = _maxpool2(ys)
 
     if blas is None:
         walk(*walks[0])
-        return y
+        return outs
     get_threads, set_threads = blas
     with _BLAS_PIN:
         threads = get_threads()
         set_threads(1)
         try:
-            with ThreadPoolExecutor(len(walks)) as pool:
-                for done in [pool.submit(walk, *args) for args in walks]:
+            with ThreadPoolExecutor(len(walks)) as executor:
+                for done in [executor.submit(walk, *args) for args in walks]:
                     done.result()
         finally:
             set_threads(threads)
-    return y
+    return outs
 
 
 def _conv3_weight_grad(src, lo: np.ndarray, hi: np.ndarray, gp: np.ndarray) -> np.ndarray:
     """d(loss)/d(weight), (Co, Ci, 3, 3, 3), of a conv on the box [lo, hi) of the input that src holds
     (see :func:`_conv_window`), from the upstream gradient on that box framed by :func:`_frame`.
 
-    Walks the forward's z-slabs, each slab's window in one reused buffer,
-    against the frame from column (z0 + 2)*Hp*Wp + 2*Wp + 2; partials add up in slab order.
+    Walks z-slabs of ``_SLAB_PLANES`` planes, as the forward does, each slab's window in one reused
+    buffer, against the frame from column (z0 + 2)*Hp*Wp + 2*Wp + 2; partials add up in slab order.
     """
     c_out, _, hp, wp = gp.shape
     c_in = sum(x.shape[0] for x, _ in src)
@@ -523,12 +542,15 @@ class Tape:
     ``records`` holds one ``(op, layer, lo, saved)`` entry per layer in
     execution order, where ``lo`` is the grid origin of the layer's output
     box, the record's box from :func:`_demand`: ``conv`` saves ``(src,
-    mask)``, ``pool`` its winner indices, ``cat`` the skip's channel count
-    and ``head`` its input.  A conv's mask is its ReLU mask, and src holds
-    the sources :func:`_conv_window` builds its slab windows from, in the
-    forward and in the weight gradient: ``((x, x_lo),)``, its input and that
-    input's origin, or for a ``.merge`` conv the skip and the coarse
-    ``.reduce`` output with their origins.  So the skip stays on the tape,
+    y)``, ``pool`` its winner indices, ``cat`` the skip's channel count and
+    ``head`` its input.  A conv's y is its ReLU output, the very array that
+    a later record reads (the next conv's src, a merge's skip or coarse
+    source, or the head's input), so saving it costs no memory; the
+    backward takes the ReLU's mask as ``y > 0``.  src holds the sources
+    :func:`_conv_window` builds its slab windows from, in the forward and in
+    the weight gradient: ``((x, x_lo),)``, its input and that input's
+    origin, or for a ``.merge`` conv the skip and the coarse ``.reduce``
+    output with their origins.  So the skip stays on the tape,
     and the merge input never exists whole.  ``out`` is the sigmoid output
     on the box the forward was asked for, (1, D, H, W).
     """
@@ -551,7 +573,8 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     :func:`backward` takes from the tape, is byte-equal to the same box of
     the whole-grid forward's.  A ``.merge`` conv's windows are filled from
     the skip and the coarse ``.reduce`` output (see :func:`_conv_window`),
-    and its tape record keeps both.
+    and its tape record keeps both.  An encoder conv pools its own slabs
+    (see :func:`_conv_layer`), so the pool adds only its tape record.
     """
     if vol.domain != UNIT:
         raise DomainError(f"network input must be unit-domain, got {vol.domain!r}")
@@ -570,21 +593,20 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     t = params.tensors
     records: list[tuple[str, str, np.ndarray, object]] = []
 
-    def conv(src, layer: str) -> tuple[np.ndarray, np.ndarray]:
+    def conv(src, layer: str, pool: bool = False) -> tuple[np.ndarray, ...]:
+        """The ReLU output, its origin and, with ``pool``, the pooled output and winners; records (src, y)."""
         lo, hi = boxes[len(records)]
-        y = _conv_layer(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"])
-        mask = y > 0.0
-        records.append(("conv", layer, lo, (src, mask)))
-        return np.maximum(y, 0.0, out=y), lo
+        y, *pooled = _conv_layer(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"], pool)
+        records.append(("conv", layer, lo, (src, y)))
+        return y, lo, *pooled
 
     # x always holds its layer's output on the box with origin o
     x, o = vol.data[None], np.zeros(3, dtype=int)
     skips: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(cfg.depth):
-        x, o = conv(((x, o),), f"enc{i}")
-        skips.append((x, o))
-        x, idx = _maxpool2(x)
-        o = o >> 1
+        skip, s_lo, x, idx = conv(((x, o),), f"enc{i}", pool=True)
+        skips.append((skip, s_lo))
+        o = s_lo >> 1
         records.append(("pool", f"enc{i}", o, idx))
 
     x, o = conv(((x, o),), "bott")
@@ -663,8 +685,8 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
             grads["head.b"] = g2.sum(axis=1)
             g = (t["head.w"].T @ g2).reshape(c, *g.shape[1:])
         elif op == "conv":
-            src, mask = saved
-            g = g * mask[_at(lo - o, hi - o)]
+            src, y = saved
+            g = g * (y[_at(lo - o, hi - o)] > 0.0)  # max(v, 0) > 0 where v > 0, NaN included: the ReLU's mask
             gp = _frame(g)
             grads[f"{layer}.w"] = _conv3_weight_grad(src, lo, hi, gp)
             grads[f"{layer}.b"] = g.sum(axis=(1, 2, 3))

@@ -160,8 +160,8 @@ def eval_csv(ids: list[str], reports: list[MetricReport]) -> str:
     for i, (cid, r) in enumerate(zip(ids, reports)):
         if _bad_case_id(cid):
             raise DomainError(
-                f"case {i}: id {cid!r} is empty or holds a comma, a quote, CR or LF or another line break,"
-                " or a blank at an end"
+                f"case {i}: id {cid!r} is empty or holds a comma, a quote, CR or LF, a character UTF-8"
+                " cannot encode or another line break, or a blank at an end"
             )
         lines.append(f"{cid},{r.dsc!r},{r.hd!r},{r.hd_ab!r},{r.hd_ba!r}")
     return "\n".join(lines) + "\n"

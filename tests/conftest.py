@@ -26,16 +26,23 @@ def random_mask(rng, dims, density, spacing=(1.0, 1.0, 1.0)):
     return Mask((rng.uniform(size=(d, h, w)) < density).astype(np.float64), spacing)
 
 
-def _relu_preacts(params, tape):
-    """Pre-activation of every conv on the tape, keyed by record index."""
+def conv_preact(src, lo, hi, w, b):
+    """A conv's output before its ReLU, exactly: ``net._conv_layer`` clamps, but negating w and b
+    negates every product and sum, so relu(v) - relu(-v) gives back v."""
     from ribfill import net as netmod
 
+    (pos,), (neg,) = (netmod._conv_layer(src, lo, hi, s * w, s * b) for s in (1.0, -1.0))
+    return pos - neg
+
+
+def _relu_preacts(params, tape):
+    """Pre-activation of every conv on the tape, keyed by record index."""
     t = params.tensors
     preacts = {}
     for k, (op, layer, lo, saved) in enumerate(tape.records):
         if op == "conv":
-            src, mask = saved
-            preacts[k] = netmod._conv_layer(src, lo, lo + mask.shape[1:], t[f"{layer}.w"], t[f"{layer}.b"])
+            src, y = saved
+            preacts[k] = conv_preact(src, lo, lo + y.shape[1:], t[f"{layer}.w"], t[f"{layer}.b"])
     return preacts
 
 

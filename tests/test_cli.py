@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through ``main``."""
 
+import os
 import shutil
 
 import numpy as np
@@ -90,6 +91,21 @@ def test_prep_rejects_a_repeated_case_id_before_writing(tmp_path, capsys):
     assert run_prep(out, [a, b]) == 1
     assert capsys.readouterr().err == f"error: case_id: {a} and {b} both give case id 'case000'\n"
     assert list(out.iterdir()) == []
+
+
+def test_prep_rejects_a_case_id_utf8_cannot_encode_before_writing(tmp_path, capsys):
+    """A CT file name with a byte that is not UTF-8 gives a case id with a lone surrogate; prep
+    fails on it before it writes any of the case's files."""
+    run_phantom(tmp_path)
+    ct = tmp_path / os.fsdecode(b"c\xff_ct.nii")
+    try:
+        (tmp_path / "case000_ct.nii").rename(ct)
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("this file system does not take a file name that is not UTF-8")
+    out = tmp_path / "prep"
+    assert run_prep(out, [ct]) == 1
+    assert capsys.readouterr().err.startswith("error: case_id: 'c\\udcff' is empty or holds")
+    assert list(out.iterdir()) == []  # no c\xff_* volume
 
 
 def test_prep_that_fails_writing_a_volume_leaves_no_manifest(tmp_path, monkeypatch, capsys):

@@ -148,6 +148,16 @@ def test_case_id_that_a_manifest_cannot_give_back_rejected(cid):
         CaseManifest(**{**_manifest().__dict__, "case_id": cid})
 
 
+def test_text_utf8_cannot_encode_rejected():
+    """A lone surrogate, as a file name's undecodable byte becomes on POSIX, fails at construction,
+    before prep writes any volume, not in write_manifest's encode."""
+    with pytest.raises(ManifestError, match=r"^case_id: 'c\\udcff' is empty .* a character UTF-8 cannot encode"):
+        CaseManifest(**{**_manifest().__dict__, "case_id": "c\udcff"})
+    for key in _VOLUME_KEYS:
+        with pytest.raises(ManifestError, match=f"^{key}: volume name .* holds a character UTF-8 cannot encode"):
+            CaseManifest(**{**_manifest().__dict__, key: "c\udcff.nii"})
+
+
 _ID_CHARS = st.one_of(st.characters(), st.sampled_from(" \t\x0b\x0c\x1c\x1d\x1e\x85\xa0\u2028\u2029\r\n,\"=#"))
 
 

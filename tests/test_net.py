@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ribfill.net as netmod
-from conftest import net_fd_worst, smooth_net_case, unit_volume
+from conftest import conv_preact, net_fd_worst, smooth_net_case, unit_volume
 from ribfill.grid import UNIT, BoundsError, Box, DomainError, ShapeError, Volume
 from ribfill.losses import loss_gradient, loss_value
 from ribfill.net import (
@@ -166,8 +166,10 @@ def test_conv_matches_direct_computation(monkeypatch, shape, block_bytes):
     o, hi = np.zeros(3, dtype=int), np.array((d, h, w_))
     src = ((x, o),)
     gp = netmod._frame(gy)
-    y = netmod._conv_layer(src, o, hi, w, b)
-    assert np.allclose(y, ref + b[:, None, None, None], rtol=0, atol=1e-12)
+    (y,) = netmod._conv_layer(src, o, hi, w, b)
+    pre = conv_preact(src, o, hi, w, b)
+    assert np.allclose(pre, ref + b[:, None, None, None], rtol=0, atol=1e-12)
+    assert y.tobytes() == np.maximum(pre, 0.0).tobytes()
     # dW adds the partials of two slabs
     gw = netmod._conv3_weight_grad(src, o, hi, gp)
     assert np.allclose(gw, ref_gw, rtol=0, atol=1e-12)
@@ -213,11 +215,11 @@ def _dense_backward(tape, grad_out):
             grads["head.b"] = g.sum(axis=(1, 2, 3))
             g = np.einsum("vc,vzyx->czyx", t["head.w"], g)
         elif op == "conv":
-            src, mask = saved
+            src, y = saved
             w = t[f"{layer}.w"]
-            g = g * mask
-            _, d, h, w_ = mask.shape
-            xp = _window(src, np.zeros(3, dtype=int), np.array(mask.shape[1:]))[:, :-1]
+            g = g * (y > 0.0)
+            _, d, h, w_ = y.shape
+            xp = _window(src, np.zeros(3, dtype=int), np.array(y.shape[1:]))[:, :-1]
             gxp = np.zeros(xp.shape)
             gw = np.zeros(w.shape)
             for dz, dy, dx in itertools.product(range(3), repeat=3):
@@ -388,7 +390,7 @@ def test_sigmoid_equals_the_two_branch_form_bitwise():
 
 
 def _relu_ref(x):
-    return np.maximum(x, 0.0), x > 0.0
+    return np.maximum(x, 0.0)
 
 
 def _maxpool2_ref(x):
@@ -414,8 +416,8 @@ def _forward_ref(params, vol, box):
     def conv(x, x_lo, layer):
         lo, hi = boxes[len(records)]
         src = ((x, x_lo),)
-        y, mask = _relu_ref(netmod._conv_layer(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"]))
-        records.append(("conv", layer, lo, (src, mask)))
+        y = _relu_ref(conv_preact(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"]))
+        records.append(("conv", layer, lo, (src, y)))
         return y, lo
 
     x, o = vol.data[None], np.zeros(3, dtype=int)
@@ -476,7 +478,7 @@ def test_forward_matches_the_reference_layers_bitwise(depth, biases):
                 assert [op, layer, lo.tolist()] == [ref_head[0], ref_head[1], ref_head[2].tolist()], where
                 if op == "pool":
                     assert saved.tobytes() == ref_saved.tobytes(), (where, layer)
-                elif op == "conv":  # the input's window on the box, and the mask
+                elif op == "conv":  # the input's window on the box, and the ReLU output
                     hi = lo + saved[1].shape[1:]
                     xp, ref_xp = (_window(rec[0], lo, hi) for rec in (saved, ref_saved))
                     assert xp.tobytes() == ref_xp.tobytes(), (where, layer)
@@ -536,6 +538,24 @@ def _arrays(obj):
             yield from _arrays(item)
 
 
+def test_tape_saves_each_conv_output_once_and_no_mask():
+    """On a whole-grid forward no record holds a bool array, each conv record's ReLU output is the very
+    array a later record reads, and the tape's distinct (C, D, H, W) arrays hold exactly the bytes of
+    a tape that also kept each conv's ReLU mask, less those masks."""
+    params = init_params(NetConfig(depth=2, base_channels=2), seed=0)
+    _, tape = forward(params, unit_volume(np.random.default_rng(14), (16, 8, 24)))
+    held = {}
+    for k, (op, layer, _, saved) in enumerate(tape.records):
+        arrays = list(_arrays(saved))
+        assert all(a.dtype != bool for a in arrays), (op, layer)
+        if op == "conv":
+            assert any(a is saved[1] for *_, later in tape.records[k + 1 :] for a in _arrays(later)), layer
+        held.update((id(a), a) for a in arrays if a.ndim == 4)
+    masks = sum(s[1].size for op, _, _, s in tape.records if op == "conv")  # a bool mask is a byte a voxel
+    # 183552 bytes: this forward's tape when every conv record saved (src, ReLU mask)
+    assert sum(a.nbytes for a in held.values()) == 183552 - masks
+
+
 def _forward_peak(params, vol):
     """Peak bytes a whole-grid forward allocates, by tracemalloc, and its tape."""
     tracemalloc.start()
@@ -573,14 +593,14 @@ def test_weight_gradient_walks_the_merge_window_in_slabs():
     cfg = NetConfig(depth=2, base_channels=8)
     params = init_params(cfg, seed=0)
     _, tape = forward(params, unit_volume(np.random.default_rng(14), (64, 64, 32)))
-    lo, (src, mask) = next((lo, saved) for _, layer, lo, saved in tape.records if layer == "dec0.merge")
+    lo, (src, y) = next((lo, saved) for _, layer, lo, saved in tape.records if layer == "dec0.merge")
     c_in = {name: ci for name, ci, _ in cfg.layer_plan()}["dec0.merge"]
     window = c_in * (32 + 3) * (64 + 2) * (64 + 2) * 8  # (Ci, D+3, H+2, W+2) float64
-    gp = netmod._frame(np.random.default_rng(15).normal(size=mask.shape))
+    gp = netmod._frame(np.random.default_rng(15).normal(size=y.shape))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        netmod._conv3_weight_grad(src, lo, lo + mask.shape[1:], gp)
+        netmod._conv3_weight_grad(src, lo, lo + y.shape[1:], gp)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -588,7 +608,7 @@ def test_weight_gradient_walks_the_merge_window_in_slabs():
 
 
 def _forward_bytes(params, vol):
-    """The output of a whole-grid forward, every conv mask and every pool winner, as bytes."""
+    """The output of a whole-grid forward, every conv's ReLU output and every pool winner, as bytes."""
     out, tape = forward(params, vol)
     saved = [s[1] if op == "conv" else s for op, _, _, s in tape.records if op in ("conv", "pool")]
     return [out.data.tobytes()] + [a.tobytes() for a in saved]

@@ -139,7 +139,7 @@ def test_output_on_a_box_ignores_the_input_outside_its_cone(case):
 @settings(max_examples=30)
 @given(_cases(), st.integers(1 << 9, 1 << 21))
 def test_two_worker_walk_equals_the_one_worker_walk(case, block_bytes):
-    """Forward output, every mask, every pool winner and every gradient are byte-equal whether
+    """Forward output, every conv output, every pool winner and every gradient are byte-equal whether
     each forward conv runs one walk or two workers, at any slab depth and block budget."""
     params, vol, (lo, hi), (s_lo, s_hi), slab, rng = case
     g = np.zeros(tuple(hi - lo))
@@ -156,6 +156,49 @@ def test_two_worker_walk_equals_the_one_worker_walk(case, block_bytes):
         saved = [s[1] if op == "conv" else s for op, _, _, s in tape.records if op in ("conv", "pool")]
         runs.append([a.tobytes() for a in (out.data, *saved, *(grads[k] for k in sorted(grads)))])
     assert runs[0] == runs[1]
+
+
+# conv inputs, weights and biases for the in-walk pool: integers make sums exact, so pool blocks
+# tie often; zeros carry both signs; a NaN in one input voxel in a hundred spreads to its
+# neighbours' outputs, so about a third of the output is NaN, in blocks that mix NaN and numbers
+_POOL_VALUES = {
+    "x": ([0.0, -0.0, 1.0, 2.0, np.nan], [0.3, 0.3, 0.2, 0.19, 0.01]),
+    "w": ([-1.0, -0.0, 0.0, 1.0], None),
+    "b": ([-0.0, 0.0, 1.0], None),
+}
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 5),
+    st.booleans(),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(*(st.integers(1, 4) for _ in range(3))),
+    st.tuples(*(st.integers(0, 2) for _ in range(3))),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_slab_walk_pools_as_maxpool2_of_the_whole_relu_output(planes, two, channels, half, offset, seed):
+    """An encoder conv's pooled values and winners, written slab by slab, are byte-equal to
+    _maxpool2 of its whole ReLU output, and that output to the unpooled walk's, at any slab depth
+    (odd ones are rounded up to whole pool blocks), on one walk or two workers, on an even box
+    inside a larger grid, through NaN, signed zeros and ties."""
+    c_in, c_out = channels
+    rng = np.random.default_rng(seed)
+    draw = {k: (lambda n, v=v, p=p: rng.choice(v, size=n, p=p)) for k, (v, p) in _POOL_VALUES.items()}
+    lo, hi = 2 * np.array(offset), 2 * np.array(offset) + 2 * np.array(half)
+    src = ((draw["x"]((c_in, *(hi + 2))), np.zeros(3, dtype=int)),)
+    w, b = draw["w"]((c_out, c_in, 3, 3, 3)), draw["b"](c_out)
+    with (
+        mock.patch.object(netmod, "_SLAB_PLANES", planes),
+        mock.patch.object(netmod, "_two_workers", lambda *_: two),
+    ):
+        y, pooled, winners = netmod._conv_layer(src, lo, hi, w, b, pool=True)
+        (alone,) = netmod._conv_layer(src, lo, hi, w, b)
+    ref_pooled, ref_winners = netmod._maxpool2(y)
+    assert y.tobytes() == alone.tobytes()
+    assert winners.dtype == ref_winners.dtype
+    assert pooled.tobytes() == ref_pooled.tobytes()
+    assert winners.tobytes() == ref_winners.tobytes()
 
 
 @settings(max_examples=100)

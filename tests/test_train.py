@@ -198,7 +198,7 @@ def test_eval_csv_rejects_a_case_id_that_breaks_its_row(cid):
         eval_csv(["case000", cid], reports * 2)
 
 
-@pytest.mark.parametrize("cid", ["a\x0bb", "a\x85b", "a\u2028b", " a", "a "])
+@pytest.mark.parametrize("cid", ["a\x0bb", "a\x85b", "a\u2028b", " a", "a ", "c\udcff"])
 def test_eval_csv_rejects_a_case_id_a_manifest_cannot_give_back(cid):
     reports = evaluate(init_params(CFG, seed=0), [tiny_case()], threshold=0.45)
     with pytest.raises(DomainError, match=rf"^case 1: id {re.escape(repr(cid))} is empty or holds"):
