@@ -14,6 +14,7 @@ target.  ``prep`` writes a case's manifest after its volumes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .defects import (
     prepare_case,
 )
 from .grid import UNIT, Mask, Volume, _write_atomic, binarize
-from .losses import LOSS_KINDS, finite_diff_check
+from .losses import DEFECT_CROP, FULL_VOLUME, LOSS_KINDS, finite_diff_check
 from .manifest import CaseManifest, ManifestError, read_manifest, write_manifest
 from .metrics import EmptyMaskError
 from .net import NetConfig, OptState, load_checkpoint, save_checkpoint
@@ -111,14 +112,11 @@ def _cmd_prep(args: argparse.Namespace) -> int:
         manifest = CaseManifest(
             case_id=cid,
             seed=seed,
-            dims=tuple(config.work_dims),
-            ct=files["ct"][0],
-            bone=files["bone"][0],
-            defective=files["defective"][0],
-            implant=files["implant"][0],
+            dims=config.work_dims,
+            **{key: name for key, (name, _, _) in files.items()},
             box=case.box,
             hu_threshold=config.hu_threshold,
-            window=tuple(config.window),
+            window=config.window,
         )
         for name, vol, datatype in files.values():
             write_volume(out / name, vol, datatype)
@@ -209,6 +207,11 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _default(fn, name: str):
+    """The library's default for ``fn``'s parameter ``name``, so that the CLI repeats no literal."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ribfill",
@@ -217,14 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ribfill {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
+    spec, defect, net, opt = PhantomSpec(), DefectSpec(), NetConfig(), OptState()
     p = subs.add_parser("phantom", help="render synthetic thorax CT volumes")
     _common(p)
     p.add_argument("--cases", type=int, default=1, help="number of volumes (default 1)")
-    p.add_argument("--dims", type=int, nargs=3, default=[96, 96, 48], metavar=("W", "H", "D"))
-    p.add_argument("--spacing", type=float, nargs=3, default=[4.0, 4.0, 8.0], metavar=("SX", "SY", "SZ"))
-    p.add_argument("--rib-pairs", type=int, default=12)
-    p.add_argument("--rib-radius", type=float, default=1.4)
-    p.add_argument("--jitter", type=float, default=0.5)
+    p.add_argument("--dims", type=int, nargs=3, default=list(spec.dims), metavar=("W", "H", "D"))
+    p.add_argument("--spacing", type=float, nargs=3, default=list(spec.spacing), metavar=("SX", "SY", "SZ"))
+    p.add_argument("--rib-pairs", type=int, default=spec.rib_pairs)
+    p.add_argument("--rib-radius", type=float, default=spec.rib_radius)
+    p.add_argument("--jitter", type=float, default=spec.jitter)
     p.set_defaults(func=_cmd_phantom)
 
     p = subs.add_parser("prep", help="threshold, resample, carve a defect, write a case")
@@ -236,29 +240,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defect-size", type=int, nargs=3, default=None, metavar=("W", "H", "D"),
                    help="defect box dims (default: full-scale box rescaled to the working grid)")
     p.add_argument("--band", type=float, nargs=2, default=list(DEFAULT_BAND), metavar=("LO", "HI"))
-    p.add_argument("--min-bone-frac", type=float, default=0.01)
-    p.add_argument("--max-attempts", type=int, default=32)
+    p.add_argument("--min-bone-frac", type=float, default=defect.min_bone_fraction)
+    p.add_argument("--max-attempts", type=int, default=defect.max_attempts)
     p.set_defaults(func=_cmd_prep)
 
     p = subs.add_parser("train", help="fit the network on prepared cases")
     _common(p)
     p.add_argument("manifests", nargs="+", help="case manifests from prep")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--loss", choices=LOSS_KINDS, default="mse+err+gf")
-    p.add_argument("--region", choices=("defect-crop", "full-volume"), default="defect-crop")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--base-channels", type=int, default=8)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--loss", choices=LOSS_KINDS, default=_default(train, "loss_kind"))
+    p.add_argument("--region", choices=(DEFECT_CROP, FULL_VOLUME), default=_default(train, "region"))
+    p.add_argument("--depth", type=int, default=net.depth)
+    p.add_argument("--base-channels", type=int, default=net.base_channels)
+    p.add_argument("--lr", type=float, default=opt.lr)
+    p.add_argument("--weight-decay", type=float, default=opt.weight_decay)
+    p.add_argument("--batch-size", type=int, default=opt.batch_size)
     p.set_defaults(func=_cmd_train)
 
     p = subs.add_parser("eval", help="score a checkpoint on prepared cases")
     _common(p)
     p.add_argument("manifests", nargs="+", help="case manifests from prep")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--percentile", type=float, default=100.0,
+    p.add_argument("--threshold", type=float, default=_default(evaluate, "threshold"))
+    p.add_argument("--percentile", type=float, default=_default(evaluate, "percentile"),
                    help="directed-distance percentile; 100 is the true Hausdorff")
     p.set_defaults(func=_cmd_eval)
 
@@ -267,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", nargs="+", choices=LOSS_KINDS, default=list(LOSS_KINDS))
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--dims", type=int, nargs=3, default=[8, 8, 8], metavar=("W", "H", "D"))
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=float, default=_default(finite_diff_check, "h"))
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)
     return parser

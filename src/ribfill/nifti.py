@@ -110,8 +110,9 @@ def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> Volu
     """Serialise ``v``; returns the header that was written.
 
     float32 stores values as-is (they must be exactly representable ones if
-    a bitwise round trip is expected).  uint8 requires the unit domain and
-    quantises by round-half-up to 0..255.  The file is written atomically by
+    a bitwise round trip is expected); a value beyond float32's range is
+    rejected, as :func:`read_volume` would reject the ``inf`` it becomes.
+    uint8 requires the unit domain and quantises by round-half-up to 0..255.  The file is written atomically by
     :func:`ribfill.grid._write_atomic`, so a failed or interrupted write
     leaves the previous file whole.
     """
@@ -122,7 +123,10 @@ def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> Volu
             raise DomainError("uint8 output needs a unit-domain volume")
         payload = np.floor(v.data * 255.0 + 0.5).astype(np.uint8)
     else:
-        payload = v.data.astype("<f4")
+        with np.errstate(over="ignore"):
+            payload = v.data.astype("<f4")
+        if not np.isfinite(payload).all():
+            raise NiftiError("data", "a value is beyond float32's range, so it would be stored as inf")
     header = VolumeHeader(dims=v.dims, spacing=v.spacing, datatype=datatype)
     raw = _pack_header(header)  # a bad header raises here, before any file is made or touched
     _write_atomic(path, raw + b"\x00\x00\x00\x00" + payload.tobytes())

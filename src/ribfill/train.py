@@ -25,7 +25,7 @@ import numpy as np
 from .defects import TrainingCase
 from .grid import Box, DomainError, _finite_threshold, binarize, crop
 from .losses import DEFECT_CROP, FULL_VOLUME, LossReport, _components, loss_gradient, rib_loss
-from .manifest import _bad_case_id
+from .manifest import _BAD_CASE_ID, _bad_case_id
 from .metrics import EmptyMaskError, MetricReport, _check_percentile, metric_report
 from .net import NetConfig, NetParams, OptState, adam_step, backward, forward, init_params
 
@@ -159,9 +159,6 @@ def eval_csv(ids: list[str], reports: list[MetricReport]) -> str:
     lines = ["case,dsc,hd_mm,hd_ab,hd_ba"]
     for i, (cid, r) in enumerate(zip(ids, reports)):
         if _bad_case_id(cid):
-            raise DomainError(
-                f"case {i}: id {cid!r} is empty or holds a comma, a quote, CR or LF, a character UTF-8"
-                " cannot encode or another line break, or a blank at an end"
-            )
+            raise DomainError(f"case {i}: id {cid!r} {_BAD_CASE_ID}")
         lines.append(f"{cid},{r.dsc!r},{r.hd!r},{r.hd_ab!r},{r.hd_ba!r}")
     return "\n".join(lines) + "\n"

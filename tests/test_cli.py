@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through ``main``."""
 
+import inspect
 import os
 import shutil
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 
 from conftest import fail_atomic_write
-from ribfill.cli import main
-from ribfill.losses import LOSS_KINDS
+from ribfill.cli import _pipeline_config, build_parser, main
+from ribfill.defects import PipelineConfig
+from ribfill.losses import LOSS_KINDS, finite_diff_check
 from ribfill.manifest import read_manifest
 from ribfill.net import NetConfig, OptState, init_params, save_checkpoint
 from ribfill.nifti import read_volume
+from ribfill.phantom import PhantomSpec
+from ribfill.train import evaluate, train
 
 
 def run_phantom(out, cases=1, dims=(32, 32, 16)):
@@ -25,6 +29,27 @@ def run_phantom(out, cases=1, dims=(32, 32, 16)):
 def run_prep(out, ct_paths, extra=()):
     return main(["prep", *map(str, ct_paths), "--work-dims", "32", "32", "16",
                  "--out-dir", str(out), *extra])
+
+
+def _defaults(fn, *names):
+    return tuple(inspect.signature(fn).parameters[name].default for name in names)
+
+
+def test_each_subcommand_defaults_to_the_library_defaults():
+    parse = build_parser().parse_args
+    a = parse(["phantom"])
+    spec = PhantomSpec(dims=tuple(a.dims), spacing=tuple(a.spacing), rib_pairs=a.rib_pairs,
+                       rib_radius=a.rib_radius, jitter=a.jitter)
+    assert spec == PhantomSpec()
+    assert _pipeline_config(parse(["prep", "c_ct.nii"])) == PipelineConfig()
+    a = parse(["train", "c.manifest"])
+    assert NetConfig(depth=a.depth, base_channels=a.base_channels) == NetConfig()
+    opt = OptState()
+    assert (a.lr, a.weight_decay, a.batch_size) == (opt.lr, opt.weight_decay, opt.batch_size)
+    assert (a.loss, a.region) == _defaults(train, "loss_kind", "region")
+    a = parse(["eval", "c.manifest", "--checkpoint", "c.bin"])
+    assert (a.threshold, a.percentile) == _defaults(evaluate, "threshold", "percentile")
+    assert (parse(["gradcheck"]).h,) == _defaults(finite_diff_check, "h")
 
 
 def test_version(capsys):

@@ -3,6 +3,7 @@
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -200,21 +201,28 @@ _VALUES = st.builds(lambda a, mid, b: a + mid + b, _EDGE, st.text(_MIDDLE, max_s
 _NAMES = _VALUES.filter(lambda n: n not in (".", ".."))
 
 
+# numbers as Python or numpy scalars (a float field takes integers too), and sequences as tuples,
+# lists or numpy arrays: CaseManifest coerces them all to Python numbers in tuples
+_INTS = st.sampled_from([int, np.int64, np.int32, np.uint8])
+_FLOATS = st.floats() | st.floats().map(np.float64) | st.floats(width=32).map(np.float32) | st.integers(-9, 9)
+_SEQUENCES = st.sampled_from([tuple, list, np.array])
+
+
 @st.composite
 def _manifests(draw):
     """Manifest fields, drawn so that most of them construct: the box is drawn inside the dims."""
     dims = draw(st.tuples(*[st.integers(1, 12)] * 3))
     origin = [draw(st.integers(0, n - 1)) for n in dims]
     size = [draw(st.integers(1, n - o)) for n, o in zip(dims, origin)]
-    window = sorted(draw(st.tuples(st.floats(), st.floats())))
+    window = sorted(draw(st.tuples(_FLOATS, _FLOATS)), key=float)
     return dict(
         case_id=draw(_VALUES),
-        seed=draw(st.integers(-(2**70), 2**70)),
-        dims=dims,
+        seed=draw(st.integers(-(2**70), 2**70) | st.integers(0, 255).map(draw(_INTS))),
+        dims=draw(_SEQUENCES)([draw(_INTS)(n) for n in dims]),
         **dict(zip(_VOLUME_KEYS, draw(st.tuples(_NAMES, _NAMES, _NAMES, _NAMES)))),
         box=Box(tuple(origin), tuple(size)),
-        hu_threshold=draw(st.floats()),
-        window=tuple(window),
+        hu_threshold=draw(_FLOATS),
+        window=draw(_SEQUENCES)(window),
     )
 
 
@@ -231,3 +239,42 @@ def test_every_manifest_that_constructs_survives_a_round_trip(fields):
         _touch_volumes(Path(tmp), m)
         # compared by repr, so that a NaN threshold counts as given back
         assert repr(read_manifest(path)) == repr(m)
+
+
+def test_numpy_typed_numbers_are_stored_as_python_numbers(tmp_path):
+    """A manifest built from numpy scalars and arrays equals, and writes the same bytes as, the Python-typed one."""
+    m = _manifest()
+    typed = CaseManifest(**{**m.__dict__, "seed": np.int64(1234), "dims": np.array([64, 64, 32]),
+                            "hu_threshold": np.float64(200.0), "window": np.array([-1024.0, 2048.0])})
+    assert typed == m
+    assert [type(v) for v in (typed.seed, *typed.dims, typed.hu_threshold, *typed.window)] == [int] * 4 + [float] * 3
+    write_manifest(tmp_path / "a.manifest", m)
+    write_manifest(tmp_path / "b.manifest", typed)
+    assert (tmp_path / "a.manifest").read_bytes() == (tmp_path / "b.manifest").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dims", (64, 64)),
+        ("dims", (64, 64, 32, 1)),
+        ("dims", 64),
+        ("dims", (64.0, 64, 32)),
+        ("dims", ("64", "64", "32")),
+        ("seed", 1.5),
+        ("seed", np.float64(2.0)),
+        ("seed", "7"),
+        ("seed", [7]),
+        ("seed", None),
+        ("hu_threshold", "200"),
+        ("hu_threshold", (200.0,)),
+        pytest.param("hu_threshold", 10**400, id="hu_threshold-int-beyond-float"),
+        ("window", (-1024.0,)),
+        ("window", (-1024.0, 0.0, 2048.0)),
+        ("window", ("-1024", "2048")),
+        ("window", np.array(2048.0)),
+    ],
+)
+def test_number_field_of_the_wrong_count_or_type_rejected(key, value):
+    with pytest.raises(ManifestError, match=f"^{key}: expected"):
+        CaseManifest(**{**_manifest().__dict__, key: value})

@@ -1,6 +1,7 @@
 """On-disk format checks: header fields, payload layout, round trips."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,22 @@ def test_write_rejects_a_spacing_float32_cannot_hold_and_keeps_the_previous_file
     with pytest.raises(NiftiError, match="pixdim") as err:
         write_volume(path, Volume(np.zeros((2, 2, 2)), (sx, 1.0, 1.0)))
     assert err.value.field == "pixdim"
+    assert path.read_bytes() == before
+
+
+def test_write_rejects_a_value_float32_cannot_hold_and_keeps_the_previous_file(tmp_path):
+    """A finite value beyond float32's range would be written as inf, which read_volume rejects."""
+    path = tmp_path / "v.nii"
+    big = Volume(np.full((2, 2, 2), 1e39), (1.0, 1.0, 1.0))
+    with warnings.catch_warnings(), pytest.raises(NiftiError, match="^data: ") as err:
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        write_volume(path, big, "float32")
+    assert err.value.field == "data"
+    assert list(tmp_path.iterdir()) == []
+    write_volume(path, _float32_volume(np.random.default_rng(5), (2, 3, 4)))
+    before = path.read_bytes()
+    with pytest.raises(NiftiError, match="^data: "):
+        write_volume(path, big, "float32")
     assert path.read_bytes() == before
 
 
