@@ -44,7 +44,7 @@ class PlacementError(RuntimeError):
 
 
 class EmptyImplantError(ValueError):
-    """The defect box missed the bone stencil entirely."""
+    """The defect box missed the bone stencil entirely, or covered all of it, so one half of the split is empty."""
 
 
 def scaled_defect_size(work_dims: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -154,7 +154,7 @@ def place_defect(bone: Mask, spec: DefectSpec, seed: int) -> Box:
 
 
 def split_case(bone: Mask, box: Box, seed: int) -> TrainingCase:
-    """Split the stencil at ``box`` into defective input and implant target."""
+    """Split the stencil at ``box`` into defective input and implant target, neither of them empty."""
     if not box.fits(bone.dims):
         raise BoundsError(f"box {box.origin}+{box.size} exceeds dims {bone.dims}")
     implant = np.zeros_like(bone.data)
@@ -163,6 +163,8 @@ def split_case(bone: Mask, box: Box, seed: int) -> TrainingCase:
         raise EmptyImplantError(f"defect box {box.origin}+{box.size} contains no bone")
     defective = bone.data.copy()
     defective[box.slices] = 0.0
+    if not defective.any():
+        raise EmptyImplantError(f"defect box {box.origin}+{box.size} leaves no bone outside it")
     return TrainingCase(Mask(defective, bone.spacing), Mask(implant, bone.spacing), box, seed)
 
 

@@ -73,7 +73,8 @@ class CaseManifest:
 
     Construction rejects what :func:`read_manifest` would reject or give back
     changed, so every manifest that constructs survives a write and a read;
-    it stores each number field as ``_KEYS`` types it, in Python ints and floats.
+    it takes each text field only as a ``str`` and stores each number field as
+    ``_KEYS`` types it, in Python ints and floats.
     """
 
     case_id: str
@@ -88,6 +89,9 @@ class CaseManifest:
     window: tuple[float, float]
 
     def __post_init__(self) -> None:
+        for key, spec in _KEYS.items():
+            if spec is None and not isinstance(getattr(self, key), str):
+                raise ManifestError(f"{key}: expected text, got {getattr(self, key)!r}")
         if _bad_case_id(self.case_id):
             raise ManifestError(f"case_id: {self.case_id!r} {_BAD_CASE_ID}")
         for key in _VOLUME_KEYS:

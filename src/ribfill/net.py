@@ -3,33 +3,33 @@
 Everything runs in float64 on the CPU.  Convolutions are 3x3x3, same
 padding, one GEMM per cache-sized column block of a flat zero-framed window
 of the input with the three x taps folded into the kernel's rows.  Every
-conv walk, the forward's and both halves of the backward's, runs in z-slabs
-of a few output planes planned by :func:`_slab_plan`, so no whole window
-and no whole output with its junk columns ever exists.  The forward finishes
-each slab while it is in cache: it adds the bias into the slab's planes of one
-compact output, clamps them for the ReLU and, after an encoder conv, max-pools
-them; the weight gradient walks the same slab windows, and the input
-gradient convolves the upstream gradient with the offset-flipped,
-in/out-swapped kernel, so no scatter operation ever appears.  A forward conv
-whose slab of half that depth still holds a full patch block of half the
-block budget, as every conv of a 128x128x64 whole-grid forward does, splits
-its slabs between two worker threads, with OpenBLAS pinned to one thread:
-with its two threads under the two workers, that forward took 1.6-2.2 s
-against 1.1-1.4 s for one walk.  Other convs and the backward keep one
-walk.  Downsampling is 2x2x2 max pooling (ties go to the first maximal
-voxel in canonical x-fastest scan order), upsampling is nearest-neighbour
-doubling.  Each decoder level halves the channel count with a conv while
-still at the coarse resolution, then merges the encoder skip and the
-doubled grid with another conv.  That merge input never exists whole
-either: :func:`_conv_window`, the one builder of every conv window, fills
-each of the merge conv's slab windows from the skip and the coarse output,
+conv walk is planned by :func:`_slab_plan`, so no whole window and no whole
+output with its junk columns ever exists.  The forward walks tiles of a few
+output planes by as many rows as keep the tile's window and its output
+buffer each within the block budget, so its scratch does not grow with the
+grid's plane, and finishes each tile while it is in cache: it adds the bias
+into the tile of one compact output, clamps it for the ReLU and, after an
+encoder conv, max-pools it.  Both halves of the backward walk whole-plane
+z-slabs: the weight gradient walks the slab windows, and the input gradient
+convolves the upstream gradient with the offset-flipped, in/out-swapped
+kernel, so no scatter operation ever appears.  A forward conv with two
+tiles or more on a large plane, as every conv of a 128x128x64 whole-grid
+forward has, splits its tiles between two worker threads, with OpenBLAS
+pinned to one thread (see :func:`_two_workers`).  Other convs and the
+backward keep one walk.  Downsampling is 2x2x2 max pooling (ties go to the
+first maximal voxel in canonical x-fastest scan order), upsampling is
+nearest-neighbour doubling.  Each decoder level halves the channel count
+with a conv while still at the coarse resolution, then merges the encoder
+skip and the doubled grid with another conv.  That merge input never
+exists whole either: :func:`_conv_window`, the one builder of every conv window, fills
+each of the merge conv's tile windows from the skip and the coarse output,
 the way memory-efficient DenseNets build their concatenations in a shared
 buffer (Pleiss et al., 2017).  The skip is copied into the first channels,
 and the coarse output is written into the rest by one strided copy per
 parity class of voxels, so no upsampled or concatenated array exists; the
 backward of the join and of the pool walk the same eight classes.  The
-head is a 1x1x1 conv squashed in place by a sigmoid, so outputs live
-strictly inside (0, 1).
+head is a 1x1x1 conv squashed in place by a sigmoid, a block budget of its
+output at a time, so outputs live strictly inside (0, 1).
 
 Both passes work on boxes, as sparse-block convolution does for one block
 (Ren et al., SBNet), and both take their boxes from one reverse walk of the
@@ -148,9 +148,10 @@ def init_params(config: NetConfig, seed: int) -> NetParams:
 # the window; with a one-voxel frame, output columns with y >= H or x >= W
 # read across a row's end and are junk.
 
-# Both budgets are one conv walk's; a forward conv on two workers splits each (see :func:`_slab_plan`).
+# _BLOCK_BYTES bounds one walk's patch blocks, which a forward conv on two workers splits, and each
+# of a forward tile's window and output buffer (see :func:`_slab_plan`).
 _BLOCK_BYTES = 1 << 21  # patch-block bytes; the fastest budget differs from conv to conv (ROADMAP Baseline)
-_SLAB_PLANES = 4  # output z planes per conv slab; 8 took a 32x64x64 peak from 1.24x to 1.40x what it keeps
+_SLAB_PLANES = 4  # output z planes per tile and slab; 8 took a 32x64x64 peak from 1.24x to 1.40x what it keeps
 
 
 def _front(buf: np.ndarray, shape, zero: bool = False) -> np.ndarray:
@@ -257,7 +258,7 @@ def _conv_window(src, lo, hi, buf: np.ndarray) -> np.ndarray:
     into the first channels and a coarse one is written into the rest by a
     strided copy per :func:`_parities` class, the way memory-efficient
     DenseNets build their concatenations in a shared buffer (Pleiss et al.,
-    2017).  Every caller asks for one z-slab of a conv's box (see :func:`_slab_plan`).
+    2017).  Every caller asks for one tile or z-slab of a conv's box (see :func:`_slab_plan`).
     """
     (x, x_lo), *doubled = src
     c = x.shape[0]
@@ -298,42 +299,65 @@ def _openblas():
 _BLAS_PIN = threading.Lock()
 
 
-def _two_workers(c_in: int, d: int, h: int, w: int) -> bool:
-    """Whether a forward conv with ``c_in`` input channels on a (d, h, w) box pays for two workers.
+def _tile_rows(c_in: int, c_out: int, planes: int, h: int, w: int) -> int:
+    """Rows R of a forward conv's tile of ``planes`` output planes over a box h rows high and w wide.
 
-    It does when each worker gets a slab and one worker's slab of
-    ``_SLAB_PLANES // 2`` planes holds at least one full block of its half
-    of ``_BLOCK_BYTES``.  Every conv of a 128x128x64 whole-grid forward
-    does; no conv of the desk recipe's 16^3 box forward does, and two
-    workers on every conv there took that forward from 31 to 64 ms.
+    The largest even count, at least 2, for which the tile's window,
+    (c_in, planes + 3, R + 2, w + 2), and its output buffer, (c_out, planes,
+    R + 2, w + 2), each fit ``_BLOCK_BYTES`` sets how many tiles the h rows
+    take; R is the least even count, at most h, that splits them into that
+    many, so no tile is a sliver: enc1 of a 128x128x64 whole-grid forward
+    gets two of 32 rows, not 60 and 4, which alternate tiles would give one
+    worker nearly all of.
     """
-    planes = _SLAB_PLANES // 2
-    return d > planes > 0 and planes * (h + 2) * (w + 2) >= (_BLOCK_BYTES // 2) // (72 * c_in)
+    row = 8 * (w + 2) * max(c_in * (planes + 3), c_out * planes)  # float64 bytes per tile row of each
+    tiles = -(-h // max((_BLOCK_BYTES // row - 2) & ~1, 2))
+    return min((-(-h // tiles) + 1) & ~1, h)
+
+
+def _two_workers(c_in: int, c_out: int, d: int, h: int, w: int) -> bool:
+    """Whether a forward conv from ``c_in`` to ``c_out`` channels on a (d, h, w) box pays for two workers.
+
+    It does when the box holds at least two tiles (see :func:`_slab_plan`)
+    and a whole-plane z-slab of a tile's planes would hold at least one full
+    patch block of ``_BLOCK_BYTES``, two of a worker's half; a tile's rows
+    follow the memory budget, not the work.  Every conv of a 128x128x64
+    whole-grid forward does; no conv of the desk recipe's 16^3 box forward
+    does, and two workers on every conv there took that forward from 31 to
+    64 ms.
+    """
+    planes = min(_SLAB_PLANES, d)
+    tiles = -(-d // planes) * -(-h // _tile_rows(c_in, c_out, planes, h, w))
+    return tiles > 1 and planes * (h + 2) * (w + 2) >= _BLOCK_BYTES // (72 * c_in)
 
 
 def _slab_plan(
     c_in: int, c_out: int | None, d: int, h: int, w: int, window: bool, workers: int = 1, pool: bool = False
 ):
-    """``(slabs, *buffers)`` per worker for a conv walk with ``c_in`` input channels over a (d, h, w) output box.
+    """``(tiles, *buffers)`` per worker for a conv walk with ``c_in`` input channels over a (d, h, w) output box.
 
-    Worker j takes z-slabs [z0, z1) j, j + workers, ... of ``_SLAB_PLANES //
-    workers`` planes, rounded up to even if ``pool`` so that each slab holds
-    whole 2x2x2 pool blocks, and one ``workers``-th of ``_BLOCK_BYTES``.  Its
-    flat buffers are a slab's window if ``window``, then :func:`_conv3`'s
-    three for ``c_out`` output channels, or, if ``c_out`` is None, the patch
-    blocks alone.  All are allocated in the calling thread: buffers each
-    worker allocated took four 128x128x64 whole-grid forwards from 273 to 299 MB.
+    A tile ``(z0, z1, y0, y1)`` is ``_SLAB_PLANES`` output planes, rounded
+    up to even if ``pool`` so that it holds whole 2x2x2 pool blocks, by R
+    rows.  The forward's walk, the one with both a ``window`` and ``c_out``
+    output channels, takes R from :func:`_tile_rows`, so its scratch does
+    not grow with the box's plane; the backward's walks keep R = h, whole
+    z-slabs, since the weight gradient's bits follow its blocks and the
+    input gradient reads views of the frame.  Worker j takes tiles j, j +
+    workers, ... in z-major order, and one ``workers``-th of
+    ``_BLOCK_BYTES`` for its patch blocks.  Its flat buffers are a tile's
+    window if ``window``, then :func:`_conv3`'s three for ``c_out`` output
+    channels, or, if ``c_out`` is None, the patch blocks alone.  All are
+    allocated in the calling thread: buffers each worker allocated took
+    four 128x128x64 whole-grid forwards from 273 to 299 MB.
     """
-    planes = max(_SLAB_PLANES // workers, 1)
-    planes += planes % 2 if pool else 0
-    m = planes * (h + 2) * (w + 2)
+    planes = min(_SLAB_PLANES + (_SLAB_PLANES % 2 if pool else 0), d)
+    rows = _tile_rows(c_in, c_out, planes, h, w) if window and c_out is not None else h
+    m = planes * (rows + 2) * (w + 2)
     width = _block_width(c_in, m, _BLOCK_BYTES // workers)
-    sizes = [c_in * (planes + 3) * (h + 2) * (w + 2)] if window else []
+    sizes = [c_in * (planes + 3) * (rows + 2) * (w + 2)] if window else []
     sizes += [9 * c_in * width] if c_out is None else [c_out * m, 9 * c_in * width, 3 * c_out * width]
-    return [
-        ([(z0, min(z0 + planes, d)) for z0 in range(j * planes, d, workers * planes)], *(np.empty(n) for n in sizes))
-        for j in range(workers)
-    ]
+    tiles = [(z0, min(z0 + planes, d), y0, min(y0 + rows, h)) for z0 in range(0, d, planes) for y0 in range(0, h, rows)]
+    return [(tiles[j::workers], *(np.empty(n) for n in sizes)) for j in range(workers)]
 
 
 def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarray, pool: bool = False):
@@ -341,15 +365,17 @@ def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarra
 
     Returns ``(y,)``, the compact (Co, D, H, W) ReLU output, or with ``pool``
     ``(y, pooled, winners)``, y's :func:`_maxpool2` on the halved box.  Walks
-    the box in z-slabs, the way patch-based inference runs a layer region by
-    region (Lin et al., MCUNetV2), and finishes each slab while it is in
-    cache: it adds the bias into the slab of y, clamps it in place and, with
-    ``pool``, pools it into its planes of the pooled and winner arrays; the
-    slabs of a pooled box, whose bounds are even, hold whole pool blocks
+    the box in tiles of a few planes by as many rows as the block budget
+    allows, the way patch-based inference runs a layer region by region (Lin
+    et al., MCUNetV2), so its scratch stays a few budgets whatever the box's
+    plane, and finishes each tile while it is in cache: it adds the bias
+    into the tile of y, clamps it in place and, with ``pool``, pools it into
+    its half-range planes and rows of the pooled and winner arrays; the
+    tiles of a pooled box, whose bounds are even, hold whole pool blocks
     (see :func:`_slab_plan`).  A conv large enough to pay for it (see
-    :func:`_two_workers`) splits its slabs between two worker threads, with
+    :func:`_two_workers`) splits its tiles between two worker threads, with
     BLAS pinned to one thread through the OpenBLAS API and then set back;
-    without that API it keeps one walk.  Neither the slab bounds nor the
+    without that API it keeps one walk.  Neither the tile bounds nor the
     worker count moves an output bit (see :func:`_patches`).
     """
     c_out, c_in = w.shape[:2]
@@ -359,17 +385,18 @@ def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarra
     y = np.empty((c_out, d, h, w_))
     half = (c_out, d // 2, h // 2, w_ // 2)
     outs = (y, np.empty(half), np.empty(half, dtype=np.uint8)) if pool else (y,)
-    blas = _openblas() if _two_workers(c_in, d, h, w_) else None
+    blas = _openblas() if _two_workers(c_in, c_out, d, h, w_) else None
     walks = _slab_plan(c_in, c_out, d, h, w_, True, 1 if blas is None else 2, pool)
 
-    def walk(slabs, win: np.ndarray, *bufs: np.ndarray) -> None:
-        for z0, z1 in slabs:
-            yp = _conv3(_conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:])), win), w2, *bufs)
-            ys = y[:, z0:z1]
-            np.add(yp[:, :, :h, :w_], bias, out=ys)
+    def walk(tiles, win: np.ndarray, *bufs: np.ndarray) -> None:
+        for z0, z1, y0, y1 in tiles:
+            yp = _conv3(_conv_window(src, lo + (z0, y0, 0), lo + (z1, y1, w_), win), w2, *bufs)
+            ys = y[:, z0:z1, y0:y1]
+            np.add(yp[:, :, : y1 - y0, :w_], bias, out=ys)
             np.maximum(ys, 0.0, out=ys)
             if pool:
-                outs[1][:, z0 // 2 : z1 // 2], outs[2][:, z0 // 2 : z1 // 2] = _maxpool2(ys)
+                cells = (slice(None), slice(z0 // 2, z1 // 2), slice(y0 // 2, y1 // 2))
+                outs[1][cells], outs[2][cells] = _maxpool2(ys)
 
     if blas is None:
         walk(*walks[0])
@@ -391,7 +418,7 @@ def _conv3_weight_grad(src, lo: np.ndarray, hi: np.ndarray, gp: np.ndarray) -> n
     """d(loss)/d(weight), (Co, Ci, 3, 3, 3), of a conv on the box [lo, hi) of the input that src holds
     (see :func:`_conv_window`), from the upstream gradient on that box framed by :func:`_frame`.
 
-    Walks z-slabs of ``_SLAB_PLANES`` planes, as the forward does, each slab's window in one reused
+    Walks whole-plane z-slabs of ``_SLAB_PLANES`` planes, each slab's window in one reused
     buffer, against the frame from column (z0 + 2)*Hp*Wp + 2*Wp + 2; partials add up in slab order.
     """
     c_out, _, hp, wp = gp.shape
@@ -399,7 +426,7 @@ def _conv3_weight_grad(src, lo: np.ndarray, hi: np.ndarray, gp: np.ndarray) -> n
     gf = gp.reshape(c_out, -1)
     gw2 = np.zeros((3, c_out, 9 * c_in))
     ((slabs, win, blocks),) = _slab_plan(c_in, None, *(hi - lo), True)
-    for z0, z1 in slabs:
+    for z0, z1, _, _ in slabs:
         xp = _conv_window(src, lo + (z0, 0, 0), np.array((lo[0] + z1, *hi[1:])), win)
         g = gf[:, (z0 + 2) * hp * wp + 2 * wp + 2 :]  # the gradient from the slab's first output voxel on
         for cols, blk in _patches(xp, blocks):
@@ -421,7 +448,7 @@ def _conv3_input_grad(gp: np.ndarray, s: np.ndarray, e: np.ndarray, w: np.ndarra
     w2 = _w2_flipped(w)
     gx = np.empty((w.shape[1], *(e - s)))
     ((slabs, *bufs),) = _slab_plan(c_out, w.shape[1], e[0] - s[0], hp - 2, wp - 2, False)
-    for z0, z1 in slabs:
+    for z0, z1, _, _ in slabs:
         gx[:, z0:z1] = _conv3(gp[:, s[0] + z0 : s[0] + z1 + 3], w2, *bufs)[:, :, s[1] : e[1], s[2] : e[2]]
     return gx
 
@@ -547,7 +574,7 @@ class Tape:
     a later record reads (the next conv's src, a merge's skip or coarse
     source, or the head's input), so saving it costs no memory; the
     backward takes the ReLU's mask as ``y > 0``.  src holds the sources
-    :func:`_conv_window` builds its slab windows from, in the forward and in
+    :func:`_conv_window` builds its windows from, in the forward and in
     the weight gradient: ``((x, x_lo),)``, its input and that input's
     origin, or for a ``.merge`` conv the skip and the coarse ``.reduce``
     output with their origins.  So the skip stays on the tape,
@@ -566,15 +593,17 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     ``box`` defaults to the whole grid.  Each layer runs only on its box from
     :func:`_demand`, the part of its grid that the output on ``box`` depends
     on; for a loss scored on the defect crop that skips most of the decoder.
-    A conv reads its input's windows of its box one z-slab at a time (see
+    A conv reads its input's windows of its box one tile at a time (see
     :func:`_conv_layer`), whose one-voxel halo holds real neighbours and
     zeros only at faces of the grid, and every conv GEMM is a multiple of 8
     columns wide (see :func:`_patches`), so the output, and every gradient
     :func:`backward` takes from the tape, is byte-equal to the same box of
     the whole-grid forward's.  A ``.merge`` conv's windows are filled from
     the skip and the coarse ``.reduce`` output (see :func:`_conv_window`),
-    and its tape record keeps both.  An encoder conv pools its own slabs
-    (see :func:`_conv_layer`), so the pool adds only its tape record.
+    and its tape record keeps both.  An encoder conv pools its own tiles
+    (see :func:`_conv_layer`), so the pool adds only its tape record.  The
+    head's sigmoid squashes its output a block budget at a time, so its
+    e^-|x| temporary never spans the whole output.
     """
     if vol.domain != UNIT:
         raise DomainError(f"network input must be unit-domain, got {vol.domain!r}")
@@ -621,7 +650,10 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     c, d, h, w = x.shape
     out = t["head.w"] @ x.reshape(c, d * h * w)
     out += t["head.b"][:, None]
-    out = _sigmoid(out, out=out).reshape(1, d, h, w)
+    flat, n = out.reshape(-1), _BLOCK_BYTES // 8
+    for i in range(0, flat.size, n):
+        _sigmoid(flat[i : i + n], out=flat[i : i + n])
+    out = out.reshape(1, d, h, w)
     return Volume(out[0], vol.spacing, UNIT), Tape(params, out, records)
 
 
@@ -650,7 +682,7 @@ def backward(tape: Tape, grad_out: Volume) -> dict[str, np.ndarray]:
     :func:`_demand`, and at record k the gradient lives on that walk's box k
     and the record's input gradient on box k - 1, inside the forward's
     boxes; saved arrays are indexed through their records' origins.  A conv
-    walks the forward's z-slabs for its weight gradient, against its input's
+    walks whole-plane z-slabs for its weight gradient, against its input's
     slab windows, and for its input gradient, over one zero-framed copy of
     the gradient, exact since the gradient vanishes outside its box.
     ``cat`` pushes the skip's gradient, which the matching ``pool`` adds

@@ -144,6 +144,16 @@ def test_prep_that_fails_writing_a_volume_leaves_no_manifest(tmp_path, monkeypat
     assert sorted(p.name for p in out.iterdir()) == ["case000_bone.nii", "case000_ct.nii"]
 
 
+def test_prep_rejects_a_defect_box_that_leaves_no_bone_outside_it(tmp_path, capsys):
+    """A defect box clamped to the whole grid takes all the bone into the implant: prep fails on the
+    split, before it writes a file, not eval on the empty defective volume it would have written."""
+    run_phantom(tmp_path)
+    out = tmp_path / "prep"
+    assert run_prep(out, [tmp_path / "case000_ct.nii"], extra=("--defect-size", "100", "100", "100")) == 1
+    assert capsys.readouterr().err == "error: defect box (0, 0, 0)+(32, 32, 16) leaves no bone outside it\n"
+    assert list(out.iterdir()) == []
+
+
 def test_prep_defect_flags_reach_placement(tmp_path):
     run_phantom(tmp_path)
     out = tmp_path / "prep"

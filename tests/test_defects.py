@@ -140,8 +140,13 @@ def test_split_case_partitions_exactly():
 
 def test_split_case_rejects_empty_implant():
     bone = Mask(np.zeros((8, 8, 8)), S)
-    with pytest.raises(EmptyImplantError):
+    with pytest.raises(EmptyImplantError, match=r"\(0, 0, 0\)\+\(4, 4, 4\) contains no bone"):
         split_case(bone, Box((0, 0, 0), (4, 4, 4)), seed=0)
+    # nor an empty defective volume: the box holds every bone voxel
+    data = np.zeros((8, 8, 8))
+    data[1:3, 2, 0:4] = 1.0
+    with pytest.raises(EmptyImplantError, match=r"\(0, 0, 0\)\+\(4, 4, 4\) leaves no bone outside it"):
+        split_case(Mask(data, S), Box((0, 0, 0), (4, 4, 4)), seed=0)
 
 
 def test_split_case_rejects_box_outside_grid():

@@ -1,5 +1,6 @@
 """Manifest text format: round trips, strict key set, file checks."""
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -183,6 +184,13 @@ def test_window_out_of_order_rejected_at_construction():
 def test_box_that_overruns_dims_rejected_at_construction():
     with pytest.raises(ManifestError, match=r"^box_origin/box_size: box \(60, 20, 16\)\+\(16, 16, 16\) exceeds dims"):
         CaseManifest(**{**_manifest().__dict__, "box": Box((60, 20, 16), (16, 16, 16))})
+
+
+@pytest.mark.parametrize("key", ["case_id", *_VOLUME_KEYS])
+@pytest.mark.parametrize("value", [7, Path("x.nii"), b"x.nii", None], ids=["int", "Path", "bytes", "None"])
+def test_text_field_that_is_not_a_str_rejected(key, value):
+    with pytest.raises(ManifestError, match=f"^{key}: expected text, got {re.escape(repr(value))}$"):
+        CaseManifest(**{**_manifest().__dict__, key: value})
 
 
 @pytest.mark.parametrize("name", ["", " c.nii", "c.nii ", "c.nii\t", "a\nb.nii", "a\rb.nii", "a\u2028b.nii"])

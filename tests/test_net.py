@@ -133,7 +133,8 @@ def _window(src, lo, hi):
 
 # (Ci, Co, D, H, W) and the block budget.  Slabs of two planes split the
 # box's 3 or 4 planes for the forward and dW, and the grown box's 5 or 6 for
-# dX.  At 3500 bytes the walk over one slab of a 3x4x7 grid (padded rows of
+# dX; at 3500 bytes the forward's tiles also split the 4 rows in two.  At
+# 3500 bytes the walk over one slab of a 3x4x7 grid (padded rows of
 # Wp = 9 columns; 108 output columns for a slab's window and for a slab of
 # the framed gradient) takes blocks 24 columns wide (22 output columns) for
 # Ci = 2 and 16 wide (14) for Ci = 3: several full blocks, a short last
@@ -569,8 +570,8 @@ def _forward_peak(params, vol):
 
 
 def test_forward_streams_each_conv_window_in_slabs(monkeypatch):
-    """At 32x64x64, slabs take at least half of dec0.merge's whole window off the peak, and no
-    tape record holds an array, or a view of one, that large."""
+    """At 32x64x64, tiles take at least half of dec0.merge's whole window off the peak of a walk in
+    whole-plane slabs of every plane, and no tape record holds an array, or a view of one, that large."""
     cfg = NetConfig(depth=2, base_channels=8)
     params = init_params(cfg, seed=0)
     vol = unit_volume(np.random.default_rng(14), (64, 64, 32))
@@ -578,6 +579,7 @@ def test_forward_streams_each_conv_window_in_slabs(monkeypatch):
     window = c_in * (32 + 3) * (64 + 2) * (64 + 2) * 8  # (Ci, D+3, H+2, W+2) float64
     shipped, tape = _forward_peak(params, vol)
     monkeypatch.setattr(netmod, "_SLAB_PLANES", 32)
+    monkeypatch.setattr(netmod, "_tile_rows", lambda c_in, c_out, planes, h, w: h)
     whole, _ = _forward_peak(params, vol)
     assert whole - shipped >= window / 2, (whole, shipped, window)
     for op, layer, _, saved in tape.records:
@@ -587,9 +589,31 @@ def test_forward_streams_each_conv_window_in_slabs(monkeypatch):
             assert a.nbytes < window, (op, layer, a.shape)
 
 
+def test_forward_conv_scratch_does_not_grow_with_the_plane():
+    """A 16->8 merge conv over 8 planes allocates, beyond its output, under five block budgets at a
+    64^2 and at a 256^2 plane, and no more at the larger: at most two walks, each with a tile's window
+    and output buffer of one budget each and half a budget of patch blocks (see net._slab_plan)."""
+    rng = np.random.default_rng(16)
+    o = np.zeros(3, dtype=int)
+    w, b = rng.normal(size=(8, 16, 3, 3, 3)), rng.normal(size=8)
+    scratch = []
+    for n in (64, 256):
+        src = ((rng.normal(size=(8, 8, n, n)), o), (rng.normal(size=(8, 4, n // 2, n // 2)), o))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            (y,) = netmod._conv_layer(src, o, np.array((8, n, n)), w, b)
+            scratch.append(tracemalloc.get_traced_memory()[1] - base - y.nbytes)
+        finally:
+            tracemalloc.stop()
+        del src, y
+    assert max(scratch) < 5 * netmod._BLOCK_BYTES, scratch
+    assert scratch[1] <= 1.1 * scratch[0], scratch
+
+
 def test_weight_gradient_walks_the_merge_window_in_slabs():
     """At 32x64x64, dec0.merge's weight gradient on the whole grid peaks under half the bytes of
-    that conv's whole window: it builds one slab's window at a time, as the forward does."""
+    that conv's whole window: it builds one slab's window at a time, as the forward builds one tile's."""
     cfg = NetConfig(depth=2, base_channels=8)
     params = init_params(cfg, seed=0)
     _, tape = forward(params, unit_volume(np.random.default_rng(14), (64, 64, 32)))

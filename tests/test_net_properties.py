@@ -1,8 +1,9 @@
 """Generated properties of the box engine: demand boxes, parity classes, conv windows, box forward, support-box backward.
 
 Hypothesis draws the net, the grid, the boxes, the input, the depth of the
-forward's conv slabs and, for the worker walks, the patch-block budget.  The profile registered in conftest derandomizes
-it, so every run checks the same examples.
+forward's conv tiles and, for the worker and pool walks, the block budget
+that sets their rows.  The profile registered in conftest derandomizes it,
+so every run checks the same examples.
 """
 
 import itertools
@@ -175,21 +176,28 @@ _POOL_VALUES = {
     st.tuples(st.integers(1, 3), st.integers(1, 3)),
     st.tuples(*(st.integers(1, 4) for _ in range(3))),
     st.tuples(*(st.integers(0, 2) for _ in range(3))),
+    st.integers(1, 4),
     st.integers(0, 2**32 - 1),
 )
-def test_the_slab_walk_pools_as_maxpool2_of_the_whole_relu_output(planes, two, channels, half, offset, seed):
-    """An encoder conv's pooled values and winners, written slab by slab, are byte-equal to
+def test_the_slab_walk_pools_as_maxpool2_of_the_whole_relu_output(planes, two, channels, half, offset, rows, seed):
+    """An encoder conv's pooled values and winners, written tile by tile, are byte-equal to
     _maxpool2 of its whole ReLU output, and that output to the unpooled walk's, at any slab depth
-    (odd ones are rounded up to whole pool blocks), on one walk or two workers, on an even box
-    inside a larger grid, through NaN, signed zeros and ties."""
+    (odd ones are rounded up to whole pool blocks), at any block budget (tiles of 2 rows up to the
+    whole height), on one walk or two workers, on an even box inside a larger grid, through NaN,
+    signed zeros and ties."""
     c_in, c_out = channels
     rng = np.random.default_rng(seed)
     draw = {k: (lambda n, v=v, p=p: rng.choice(v, size=n, p=p)) for k, (v, p) in _POOL_VALUES.items()}
     lo, hi = 2 * np.array(offset), 2 * np.array(offset) + 2 * np.array(half)
     src = ((draw["x"]((c_in, *(hi + 2))), np.zeros(3, dtype=int)),)
     w, b = draw["w"]((c_out, c_in, 3, 3, 3)), draw["b"](c_out)
+    # the budget for which a pooled tile may hold 2*rows rows (see net._tile_rows), at most the box's height
+    depth = min(planes + planes % 2, 2 * half[0])
+    row = 8 * (2 * half[2] + 2) * max(c_in * (depth + 3), c_out * depth)
+    block_bytes = (2 * min(rows, half[1]) + 2) * row
     with (
         mock.patch.object(netmod, "_SLAB_PLANES", planes),
+        mock.patch.object(netmod, "_BLOCK_BYTES", block_bytes),
         mock.patch.object(netmod, "_two_workers", lambda *_: two),
     ):
         y, pooled, winners = netmod._conv_layer(src, lo, hi, w, b, pool=True)
