@@ -31,30 +31,31 @@ backward of the join and of the pool walk the same eight classes.  The
 head is a 1x1x1 conv squashed in place by a sigmoid, a block budget of its
 output at a time, so outputs live strictly inside (0, 1).
 
-Both passes work on boxes, as sparse-block convolution does for one block
-(Ren et al., SBNet), and both take their boxes from one reverse walk of the
-layers, :func:`_demand`: given the box the head must cover, it finds the box
-each layer must output for that, the box's cone, one voxel wider per conv,
-aligned and halved or doubled at each change of level.  The forward is asked
-for its output on a box (the whole grid by default) and runs each layer only
-on its demand box, so a loss scored on the defect crop skips most of the
-decoder.  Every conv GEMM is a multiple of 8 columns wide, so no voxel lies
+The tape's record order is declared once, by :func:`_records`, the one
+plan.  Both passes work on boxes, as sparse-block convolution does for one
+block (Ren et al., SBNet), and both take their boxes from one reverse walk
+of that plan, :func:`_demand`, with one rule per op: given the box the head
+must cover, it finds the box each record must output for that, the box's
+cone, one voxel wider per conv, aligned and halved or doubled at each change
+of level.  The forward is asked for its output on a box (the whole grid by
+default) and runs each record only on its demand box, so a loss scored on
+the defect crop skips most of the decoder.  Every conv GEMM is a multiple of 8 columns wide, so no voxel lies
 in a ragged GEMM tail and its value does not depend on where its block ends
 (see :func:`_patches`), and the output on a box is byte-equal to that box of
 the whole-grid output.
 
-The forward appends one ``(op, layer, lo, saved)`` record per layer to a
-:class:`Tape`, in execution order, where ``lo`` is the origin of the
-layer's box; the backward pass is reverse-mode differentiation (Griewank &
-Walther, *Evaluating Derivatives*): one walk over those records from last to
-first.  A conv's record keeps its ReLU output, which a later record holds
-anyway, and no mask: the backward forms the ReLU's mask from that output on
-its box, since max(v, 0) > 0 exactly where v > 0.  It runs the same demand
-walk from the support box of the output gradient, the bounding box of its
-nonzeros, so a loss scored on the defect crop costs a backward pass over the
-crop plus a halo of one voxel per conv.
-Each conv frames its gradient with zeros once, and both its weight gradient
-and its input gradient read that copy.
+The forward, one loop over the plan with one branch per op, appends one
+``(op, layer, lo, saved)`` record per entry to a :class:`Tape`, where
+``lo`` is the origin of the record's box; the backward pass is reverse-mode
+differentiation (Griewank & Walther, *Evaluating Derivatives*): one walk
+over those records from last to first.  A conv's record keeps its ReLU
+output, which a later record holds anyway, and no mask: the backward forms
+the ReLU's mask from that output on its box, since max(v, 0) > 0 exactly
+where v > 0.  It runs the same demand walk from the support box of the
+output gradient, the bounding box of its nonzeros, so a loss scored on the
+defect crop costs a backward pass over the crop plus a halo of one voxel
+per conv.  Each conv frames its gradient with zeros once, and both its
+weight gradient and its input gradient read that copy.
 
 The optimiser is Adam with coupled L2 weight decay: ``wd * p`` is added to
 the raw gradient before the moment updates, the classic (non-decoupled)
@@ -66,6 +67,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -81,12 +83,20 @@ class CheckpointError(ValueError):
     """An unreadable, foreign, or truncated checkpoint file."""
 
 
+def _check_integers(obj, *names: str) -> None:
+    """Raise a DomainError naming the first of the fields ``names`` of obj that is not an integer."""
+    for name in names:
+        if not isinstance(getattr(obj, name), numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+
+
 @dataclass(frozen=True)
 class NetConfig:
     depth: int = 2
     base_channels: int = 8
 
     def __post_init__(self) -> None:
+        _check_integers(self, "depth", "base_channels")
         if self.depth < 1:
             raise DomainError(f"depth must be at least 1, got {self.depth}")
         if self.base_channels < 1:
@@ -94,19 +104,21 @@ class NetConfig:
 
     def layer_plan(self) -> list[tuple[str, int, int]]:
         """(name, in_channels, out_channels) for every conv, in forward order."""
-        plan: list[tuple[str, int, int]] = []
-        c_in = 1
-        for i in range(self.depth):
-            c_out = self.base_channels << i
-            plan.append((f"enc{i}", c_in, c_out))
-            c_in = c_out
-        plan.append(("bott", c_in, c_in * 2))
-        for i in reversed(range(self.depth)):
-            c = self.base_channels << i
-            plan.append((f"dec{i}.reduce", c * 2, c))
-            plan.append((f"dec{i}.merge", c * 2, c))
-        plan.append(("head", self.base_channels, 1))
-        return plan
+        return [(layer, c_in, c_out) for op, layer, c_in, c_out in _records(self) if op in ("conv", "head")]
+
+
+def _records(config: NetConfig) -> list[tuple[str, str, int, int]]:
+    """(op, layer, in_channels, out_channels) of every tape record, in forward order: the net's one plan,
+    which :meth:`NetConfig.layer_plan`, :func:`_demand` and :func:`forward` read."""
+    c = [1] + [config.base_channels << i for i in range(config.depth + 1)]  # c[i + 1] is level i's width
+    plan = []
+    for i in range(config.depth):
+        plan += [("conv", f"enc{i}", c[i], c[i + 1]), ("pool", f"enc{i}", c[i + 1], c[i + 1])]
+    plan.append(("conv", "bott", c[-2], c[-1]))
+    for i in reversed(range(config.depth)):
+        plan += [("conv", f"dec{i}.reduce", c[i + 2], c[i + 1]), ("cat", f"dec{i}", c[i + 1], c[i + 2]),
+                 ("conv", f"dec{i}.merge", c[i + 2], c[i + 1])]
+    return plan + [("head", "head", c[1], 1)]
 
 
 @dataclass
@@ -129,7 +141,7 @@ def init_params(config: NetConfig, seed: int) -> NetParams:
     rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in _tensor_shapes(config).items():
-        if name.endswith(".b"):
+        if len(shape) == 1:  # a bias
             tensors[name] = np.zeros(shape)
         else:
             bound = 1.0 / np.sqrt(math.prod(shape[1:]))
@@ -539,26 +551,25 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _demand(config: NetConfig, dims, lo: np.ndarray, hi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The output box [lo, hi) of every tape record, in record order, for the head to cover [lo, hi).
 
-    ``dims`` is the (D, H, W) grid.  Walks the records in reverse from the
-    head with three rules, used by both :func:`forward` and :func:`backward`:
-    a 3x3x3 conv needs its box grown by one voxel a side, clipped to its
-    level's grid; ``cat``, the join, needs it halved outward; ``pool`` needs
-    it doubled.  ``head`` keeps it.  The skip a ``cat`` reads needs no rule
-    of its own: twice the matching pool's box always holds it, since the
-    cone through the coarser levels only widens.
+    ``dims`` is the (D, H, W) grid.  Walks the plan from :func:`_records` in
+    reverse from the head, used by both :func:`forward` and :func:`backward`,
+    with one rule per op for the box of a record's input: a 3x3x3 ``conv``
+    needs its box grown by one voxel a side, clipped to its level's grid;
+    ``cat``, the join, needs it halved outward; ``pool`` needs it doubled;
+    ``head`` keeps it.  The skip a ``cat`` reads needs no rule of its own:
+    twice the matching pool's box always holds it, since the cone through
+    the coarser levels only widens.
     """
     grid = np.array(dims)
     boxes: list[tuple[np.ndarray, np.ndarray]] = []
-    for layer, _, _ in reversed(config.layer_plan()):
-        if layer.startswith("enc"):  # the pool after it
-            boxes.append((lo, hi))
-            lo, hi, grid = 2 * lo, 2 * hi, 2 * grid
+    for op, _, _, _ in reversed(_records(config)):
         boxes.append((lo, hi))
-        if layer != "head":
+        if op == "conv":
             lo, hi = np.maximum(lo - 1, 0), np.minimum(hi + 1, grid)
-        if layer.endswith(".merge"):  # the cat before it
-            boxes.append((lo, hi))
+        elif op == "cat":
             lo, hi, grid = lo >> 1, (hi + 1) >> 1, grid >> 1
+        elif op == "pool":
+            lo, hi, grid = 2 * lo, 2 * hi, 2 * grid
     return boxes[::-1]
 
 
@@ -566,20 +577,20 @@ def _demand(config: NetConfig, dims, lo: np.ndarray, hi: np.ndarray) -> list[tup
 class Tape:
     """One forward pass, as the backward pass reads it.
 
-    ``records`` holds one ``(op, layer, lo, saved)`` entry per layer in
-    execution order, where ``lo`` is the grid origin of the layer's output
-    box, the record's box from :func:`_demand`: ``conv`` saves ``(src,
-    y)``, ``pool`` its winner indices, ``cat`` the skip's channel count and
-    ``head`` its input.  A conv's y is its ReLU output, the very array that
-    a later record reads (the next conv's src, a merge's skip or coarse
-    source, or the head's input), so saving it costs no memory; the
+    ``records`` holds one ``(op, layer, lo, saved)`` entry per record of
+    the one plan, :func:`_records`, in its order, where ``lo`` is the grid
+    origin of the record's output box from :func:`_demand`: ``conv`` saves
+    ``(src, y)``, ``pool`` its winner indices, ``cat`` the skip's channel
+    count and ``head`` its input.  A conv's y is its ReLU output, the very
+    array that a later record reads (the next conv's src, a merge's skip or
+    coarse source, or the head's input), so saving it costs no memory; the
     backward takes the ReLU's mask as ``y > 0``.  src holds the sources
-    :func:`_conv_window` builds its windows from, in the forward and in
-    the weight gradient: ``((x, x_lo),)``, its input and that input's
-    origin, or for a ``.merge`` conv the skip and the coarse ``.reduce``
-    output with their origins.  So the skip stays on the tape,
-    and the merge input never exists whole.  ``out`` is the sigmoid output
-    on the box the forward was asked for, (1, D, H, W).
+    :func:`_conv_window` builds its windows from, in the forward and in the
+    weight gradient: ``((x, x_lo),)``, its input and that input's origin,
+    or for a ``.merge`` conv the skip and the coarse ``.reduce`` output with
+    their origins.  So the skip stays on the tape, and the merge input
+    never exists whole.  ``out`` is the sigmoid output on the box the
+    forward was asked for, (1, D, H, W).
     """
 
     params: NetParams
@@ -590,9 +601,11 @@ class Tape:
 def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Volume, Tape]:
     """Run the net on one unit-domain volume and return its output on ``box``; records a tape for backward.
 
-    ``box`` defaults to the whole grid.  Each layer runs only on its box from
-    :func:`_demand`, the part of its grid that the output on ``box`` depends
-    on; for a loss scored on the defect crop that skips most of the decoder.
+    ``box`` defaults to the whole grid.  One loop walks the one plan,
+    :func:`_records`, with one branch per op, and runs each record only on
+    its box from :func:`_demand`, the part of its grid that the output on
+    ``box`` depends on; for a loss scored on the defect crop that skips most
+    of the decoder.  A stack carries each ``pool``'s skip to its ``cat``.
     A conv reads its input's windows of its box one tile at a time (see
     :func:`_conv_layer`), whose one-voxel halo holds real neighbours and
     zeros only at faces of the grid, and every conv GEMM is a multiple of 8
@@ -600,10 +613,10 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     :func:`backward` takes from the tape, is byte-equal to the same box of
     the whole-grid forward's.  A ``.merge`` conv's windows are filled from
     the skip and the coarse ``.reduce`` output (see :func:`_conv_window`),
-    and its tape record keeps both.  An encoder conv pools its own tiles
-    (see :func:`_conv_layer`), so the pool adds only its tape record.  The
-    head's sigmoid squashes its output a block budget at a time, so its
-    e^-|x| temporary never spans the whole output.
+    and its tape record keeps both.  A conv that a ``pool`` follows pools
+    its own tiles (see :func:`_conv_layer`), so the pool adds only its tape
+    record.  The head's sigmoid squashes its output a block budget at a
+    time, so its e^-|x| temporary never spans the whole output.
     """
     if vol.domain != UNIT:
         raise DomainError(f"network input must be unit-domain, got {vol.domain!r}")
@@ -618,42 +631,32 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
     elif not box.fits(vol.dims):
         raise BoundsError(f"box {box.origin}+{box.size} exceeds dims {vol.dims}")
     lo = np.array(box.origin[::-1])
-    boxes = _demand(cfg, vol.data.shape, lo, lo + box.size[::-1])
+    plan, boxes = _records(cfg), _demand(cfg, vol.data.shape, lo, lo + box.size[::-1])
     t = params.tensors
     records: list[tuple[str, str, np.ndarray, object]] = []
-
-    def conv(src, layer: str, pool: bool = False) -> tuple[np.ndarray, ...]:
-        """The ReLU output, its origin and, with ``pool``, the pooled output and winners; records (src, y)."""
-        lo, hi = boxes[len(records)]
-        y, *pooled = _conv_layer(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"], pool)
-        records.append(("conv", layer, lo, (src, y)))
-        return y, lo, *pooled
-
-    # x always holds its layer's output on the box with origin o
-    x, o = vol.data[None], np.zeros(3, dtype=int)
+    # src holds the next record's sources, each an output with the origin of its box
+    src = ((vol.data[None], np.zeros(3, dtype=int)),)
     skips: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(cfg.depth):
-        skip, s_lo, x, idx = conv(((x, o),), f"enc{i}", pool=True)
-        skips.append((skip, s_lo))
-        o = s_lo >> 1
-        records.append(("pool", f"enc{i}", o, idx))
-
-    x, o = conv(((x, o),), "bott")
-
-    for i in reversed(range(cfg.depth)):
-        x, o = conv(((x, o),), f"dec{i}.reduce")
-        skip, s_lo = skips.pop()
-        records.append(("cat", f"dec{i}", boxes[len(records)][0], skip.shape[0]))
-        x, o = conv(((skip, s_lo), (x, o)), f"dec{i}.merge")
-
-    records.append(("head", "head", o, x))
-    c, d, h, w = x.shape
-    out = t["head.w"] @ x.reshape(c, d * h * w)
-    out += t["head.b"][:, None]
-    flat, n = out.reshape(-1), _BLOCK_BYTES // 8
-    for i in range(0, flat.size, n):
-        _sigmoid(flat[i : i + n], out=flat[i : i + n])
-    out = out.reshape(1, d, h, w)
+    for k, ((op, layer, _, _), (lo, hi)) in enumerate(zip(plan, boxes)):
+        if op == "conv":
+            y, *pooled = _conv_layer(src, lo, hi, t[f"{layer}.w"], t[f"{layer}.b"], plan[k + 1][0] == "pool")
+            saved, src = (src, y), ((y, lo),)
+        elif op == "pool":  # pooled by the conv before it, whose output is the skip
+            skips.append(src[0])
+            x, saved = pooled
+            src = ((x, lo),)
+        elif op == "cat":
+            skip = skips.pop()
+            saved, src = skip[0].shape[0], (skip, *src)
+        else:  # head
+            ((saved, _),) = src
+            out = t[f"{layer}.w"] @ saved.reshape(saved.shape[0], -1)
+            out += t[f"{layer}.b"][:, None]
+            flat, n = out.reshape(-1), _BLOCK_BYTES // 8
+            for i in range(0, flat.size, n):
+                _sigmoid(flat[i : i + n], out=flat[i : i + n])
+            out = out.reshape(1, *saved.shape[1:])
+        records.append((op, layer, lo, saved))
     return Volume(out[0], vol.spacing, UNIT), Tape(params, out, records)
 
 
@@ -756,6 +759,7 @@ class OptState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_integers(self, "batch_size", "step")
         # written as "not (valid)" so that NaN, which fails every comparison, is rejected
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise DomainError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")

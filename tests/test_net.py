@@ -46,6 +46,26 @@ def test_config_validation_and_plan():
     assert plan[-1][1:] == (8, 1)
 
 
+@pytest.mark.parametrize("make, field, value", [
+    (NetConfig, "depth", 2.0),
+    (NetConfig, "base_channels", 8.0),
+    (NetConfig, "depth", float("nan")),
+    (NetConfig, "base_channels", "8"),
+    (OptState, "batch_size", 2.0),
+    (OptState, "step", 1.0),
+    (OptState, "step", None),
+], ids=["depth-float", "base-float", "depth-nan", "base-str", "batch-float", "step-float", "step-none"])
+def test_non_integral_count_rejected(make, field, value):
+    """A count that is not an integer is rejected when built, not later by ``range`` or ``struct.pack``."""
+    with pytest.raises(DomainError, match=f"^{field} must be an integer"):
+        make(**{field: value})
+
+
+def test_integral_counts_of_any_integer_type_accepted():
+    assert NetConfig(depth=np.int64(2), base_channels=np.uint8(8)) == NetConfig()
+    assert OptState(batch_size=np.int32(2), step=np.int64(3)).step == 3
+
+
 def test_tiny_config_stays_small():
     params = init_params(NetConfig(depth=1, base_channels=1), seed=0)
     assert sum(t.size for t in params.tensors.values()) <= 500
@@ -305,11 +325,46 @@ def test_box_forward_matches_full_forward_bitwise(monkeypatch, depth, box, block
         assert grads[name].tobytes() == ref[name].tobytes(), name
 
 
-def _record_ops(depth):
-    """(op, layer) of every tape record at this depth, in record order."""
-    params = init_params(NetConfig(depth=depth, base_channels=1), seed=0)
-    _, tape = forward(params, Volume(np.zeros((1 << depth,) * 3), S, UNIT))
-    return [(op, layer) for op, layer, _, _ in tape.records]
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_the_tape_follows_the_one_plan(depth):
+    """The forward's records, on the whole grid and on a box, are ``_records``' entries in its order,
+    each on its ``_demand`` box and with its channel counts."""
+    cfg = NetConfig(depth=depth, base_channels=2)
+    plan = netmod._records(cfg)
+    rng = np.random.default_rng(30 + depth)
+    params = init_params(cfg, seed=depth)
+    step = 1 << depth
+    vol = unit_volume(rng, (2 * step, step, 3 * step))
+    lo = np.array([rng.integers(0, n) for n in vol.data.shape])
+    hi = np.array([rng.integers(a + 1, n + 1) for a, n in zip(lo, vol.data.shape)])
+    for box in (None, Box(tuple(lo[::-1]), tuple((hi - lo)[::-1]))):
+        a, b = (lo, hi) if box else (np.zeros(3, dtype=int), np.array(vol.data.shape))
+        boxes = netmod._demand(cfg, vol.data.shape, a, b)
+        _, tape = forward(params, vol, box)
+        assert len(boxes) == len(plan)
+        assert [(op, layer) for op, layer, _, _ in tape.records] == [(op, layer) for op, layer, _, _ in plan]
+        for (op, _, o, saved), (_, _, c_in, c_out), (b_lo, b_hi) in zip(tape.records, plan, boxes):
+            assert o.tolist() == b_lo.tolist()
+            if op == "conv":
+                src, y = saved
+                assert (sum(x.shape[0] for x, _ in src), *y.shape) == (c_in, c_out, *(b_hi - b_lo))
+            elif op == "pool":
+                assert saved.shape == (c_out, *(b_hi - b_lo))
+            elif op == "cat":
+                assert saved == c_out - c_in  # the skip's channels, before the doubled input's
+            else:
+                assert saved.shape[0] == c_in and c_out == 1
+
+
+@pytest.mark.parametrize("depth, names, widths", [
+    (1, ["enc0", "bott", "dec0.reduce", "dec0.merge", "head"], [(1, 4), (4, 8), (8, 4), (8, 4), (4, 1)]),
+    (3, ["enc0", "enc1", "enc2", "bott", "dec2.reduce", "dec2.merge", "dec1.reduce", "dec1.merge",
+         "dec0.reduce", "dec0.merge", "head"],
+     [(1, 4), (4, 8), (8, 16), (16, 32), (32, 16), (32, 16), (16, 8), (16, 8), (8, 4), (8, 4), (4, 1)]),
+])
+def test_layer_plan_matches_hand_written_lists(depth, names, widths):
+    plan = NetConfig(depth=depth, base_channels=4).layer_plan()
+    assert plan == [(name, *w) for name, w in zip(names, widths)]
 
 
 def test_desk_box_demand_cone():
@@ -317,7 +372,7 @@ def test_desk_box_demand_cone():
     lo = np.array((16, 30, 46))
     cfg = NetConfig(depth=2, base_channels=1)
     boxes = netmod._demand(cfg, (32, 64, 64), lo, lo + 16)
-    got = [(op, layer, a.tolist(), b.tolist()) for (op, layer), (a, b) in zip(_record_ops(2), boxes)]
+    got = [(op, layer, a.tolist(), b.tolist()) for (op, layer, _, _), (a, b) in zip(netmod._records(cfg), boxes)]
     assert got == [  # (z, y, x) bounds [lo, hi)
         ("conv", "enc0", [0, 14, 30], [32, 62, 64]),
         ("pool", "enc0", [0, 7, 15], [16, 31, 32]),
@@ -346,7 +401,7 @@ def test_pool_box_holds_its_skip(depth):
     through the coarser levels is always the wider one.
     """
     rng = np.random.default_rng(40 + depth)
-    ops = _record_ops(depth)
+    ops = netmod._records(NetConfig(depth=depth))
     step = 1 << depth
     for _ in range(200):
         dims = rng.integers(1, 9, size=3) * step
@@ -354,7 +409,7 @@ def test_pool_box_holds_its_skip(depth):
         hi = np.array([rng.integers(a + 1, n + 1) for a, n in zip(lo, dims)])
         boxes = netmod._demand(NetConfig(depth=depth), tuple(dims), lo, hi)
         pools: list[int] = []
-        for k, (op, _) in enumerate(ops):
+        for k, (op, *_) in enumerate(ops):
             if op == "pool":
                 pools.append(k)
             elif op == "cat":
@@ -769,6 +824,24 @@ def test_checkpoint_round_trip(tmp_path):
     path2 = tmp_path / "ck2.bin"
     save_checkpoint(path2, params2, opt2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6])
+def test_checkpoint_count_guard_matches_the_tensor_count(depth):
+    """load_checkpoint checks the tensor count against 2 * (3 * depth + 2), in O(1), before it builds the plan."""
+    assert 2 * (3 * depth + 2) == len(netmod._tensor_shapes(NetConfig(depth=depth)))
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_deep_checkpoint_round_trips_byte_for_byte(tmp_path, depth):
+    rng = np.random.default_rng(depth)
+    params = init_params(NetConfig(depth=depth, base_channels=1), seed=depth)
+    opt = OptState(batch_size=3)
+    adam_step(params, {k: rng.normal(size=v.shape) for k, v in params.tensors.items()}, opt)
+    path, again = tmp_path / "ck.bin", tmp_path / "again.bin"
+    save_checkpoint(path, params, opt)
+    save_checkpoint(again, *load_checkpoint(path))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_checkpoint_closes_its_file(tmp_path):
