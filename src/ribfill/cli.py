@@ -142,14 +142,14 @@ def _load_case(manifest_path: str | Path) -> tuple[str, TrainingCase]:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
-    cases = [_load_case(p)[1] for p in args.manifests]
     config = NetConfig(depth=args.depth, base_channels=args.base_channels)
     opt = OptState(
         lr=args.lr,
         weight_decay=args.weight_decay,
         batch_size=args.batch_size,
     )
+    out = _out_dir(args)
+    cases = [_load_case(p)[1] for p in args.manifests]
     result = train(
         cases, config, opt, steps=args.steps, loss_kind=args.loss,
         seed=args.seed, region=args.region,

@@ -2,12 +2,16 @@
 
 The distance machinery is an exact separable squared Euclidean distance
 transform: one min-plus pass per axis, ``d[i] = min_v f[v] + w*(i - v)^2``
-with ``w`` that axis' spacing squared, composed x then y then z.  Each term
-is the same rounded product the naive all-pairs scan forms, and rounded
-addition is monotone, so taking the minimum axis by axis commutes with the
-later sums: the result equals the scan's all-pairs minimum bit for bit, at
-any spacing.  The oracles here are kept deliberately naive so tests can
-hold the fast path to that.
+with ``w`` that axis' spacing squared, composed x then y then z.  Each pass
+scans offsets r = 1, 2, ... on the lines that are not constant, and stops
+once ``w*(r*r)`` exceeds the largest d, which only falls as r grows (see
+:func:`_edt_pass`).  It is exact: each term is the same rounded product the
+naive all-pairs scan forms, min does not depend on order, a constant line
+is its own minimum, and a skipped term cannot lower d.  Rounded addition is
+monotone, so taking the minimum axis by axis commutes with the later sums:
+the result equals the scan's all-pairs minimum bit for bit, at any spacing.
+The oracles here are kept deliberately naive so tests can hold the fast
+path to that.
 
 Empty masks have no surface, so Hausdorff distances on them raise instead
 of returning a sentinel that could slip through an aggregation unnoticed.
@@ -22,7 +26,6 @@ import numpy as np
 from .grid import Mask, ShapeError
 
 _FAR = 1e30  # finite "no mask voxel here" sentinel; dwarfs any real distance
-_MINPLUS_BYTES = 32 << 20  # budget for one (rows, n, n) min-plus block of an EDT pass
 
 
 class EmptyMaskError(ValueError):
@@ -70,17 +73,32 @@ def dsc(a: Mask, b: Mask) -> float:
 
 
 def _edt_pass(arr: np.ndarray, axis: int, w: float) -> np.ndarray:
-    """d[..., i] = min_v f[..., v] + w*(i - v)^2 along ``axis``, rows in blocks."""
-    moved = np.moveaxis(arr, axis, -1)
-    n = moved.shape[-1]
-    flat = moved.reshape(-1, n)
-    off = np.arange(n)
-    cost = w * ((off[:, None] - off) * (off[:, None] - off))  # cost[i, v]
-    out = np.empty(flat.shape)
-    rows = max(1, _MINPLUS_BYTES // (8 * n * n))
-    for r0 in range(0, flat.shape[0], rows):
-        out[r0 : r0 + rows] = (flat[r0 : r0 + rows, None, :] + cost).min(axis=-1)
-    return np.moveaxis(out.reshape(moved.shape), -1, axis)
+    """d[..., i] = min_v f[..., v] + w*(i - v)^2 along ``axis``, by a scan over offsets r = |i - v|.
+
+    Offset r takes ``d[i]`` down to ``f[i - r] + w*(r*r)`` and its mirror ``f[i + r] + w*(r*r)``
+    where they are lower, the same rounded sums the all-pairs minimum forms, and only on lines
+    that are not constant: a constant line is its own minimum.  The scan stops once ``w*(r*r)``
+    exceeds ``top``, an upper bound on d: every later term is at least its offset's cost, since
+    f >= 0 and rounding is monotone, so none can lower d.  ``top`` is refreshed to ``d.max()``
+    at each power-of-two r; d only falls, so it stays a bound.
+    """
+    out = np.moveaxis(arr, axis, -1).copy()
+    n = out.shape[-1]
+    flat = out.reshape(-1, n)
+    lines = (flat != flat[:, :1]).any(axis=1)
+    f = flat[lines]
+    d = f.copy()
+    top = d.max(initial=0.0)
+    for r in range(1, n):
+        cost = w * (r * r)
+        if cost > top:
+            break
+        np.minimum(d[:, r:], f[:, :-r] + cost, out=d[:, r:])
+        np.minimum(d[:, :-r], f[:, r:] + cost, out=d[:, :-r])
+        if r & (r + 1) == 0:  # r + 1 is a power of two
+            top = d.max()
+    flat[lines] = d
+    return np.moveaxis(out, -1, axis)
 
 
 def edt_sq(mask: Mask) -> np.ndarray:

@@ -83,11 +83,13 @@ class CheckpointError(ValueError):
     """An unreadable, foreign, or truncated checkpoint file."""
 
 
-def _check_integers(obj, *names: str) -> None:
-    """Raise a DomainError naming the first of the fields ``names`` of obj that is not an integer."""
-    for name in names:
-        if not isinstance(getattr(obj, name), numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {getattr(obj, name)!r}")
+def _check_counts(obj, **spans: tuple[int, int]) -> None:
+    """Raise a DomainError naming the first field of obj that is not an integer in its span ``(lo, hi)``;
+    each ``hi`` is the most the field's checkpoint slot holds."""
+    for name, (lo, hi) in spans.items():
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+            raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,7 @@ class NetConfig:
     base_channels: int = 8
 
     def __post_init__(self) -> None:
-        _check_integers(self, "depth", "base_channels")
-        if self.depth < 1:
-            raise DomainError(f"depth must be at least 1, got {self.depth}")
-        if self.base_channels < 1:
-            raise DomainError(f"base channels must be at least 1, got {self.base_channels}")
+        _check_counts(self, depth=(1, 2**32 - 1), base_channels=(1, 2**32 - 1))
 
     def layer_plan(self) -> list[tuple[str, int, int]]:
         """(name, in_channels, out_channels) for every conv, in forward order."""
@@ -759,7 +757,7 @@ class OptState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_integers(self, "batch_size", "step")
+        _check_counts(self, batch_size=(1, 2**32 - 1), step=(0, 2**64 - 1))
         # written as "not (valid)" so that NaN, which fails every comparison, is rejected
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise DomainError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
@@ -767,8 +765,6 @@ class OptState:
             raise DomainError(f"lr and eps must be positive, got {self.lr}, {self.eps}")
         if not self.weight_decay >= 0.0:
             raise DomainError(f"weight decay must be non-negative, got {self.weight_decay}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch size must be at least 1, got {self.batch_size}")
 
 
 def adam_step(params: NetParams, grads: dict[str, np.ndarray], opt: OptState) -> tuple[NetParams, OptState]:

@@ -3,6 +3,7 @@
 import inspect
 import os
 import shutil
+import signal
 
 import numpy as np
 import pytest
@@ -219,6 +220,27 @@ def test_train_rejects_volumes_that_do_not_match_manifest_dims(tmp_path, capsys)
     assert err.startswith("error:")
     assert "case000_defective.nii" in err
     assert "(16, 16, 8)" in err and "(64, 64, 32)" in err
+
+
+def test_train_rejects_a_batch_size_the_checkpoint_cannot_hold(tmp_path, capsys):
+    run_phantom(tmp_path, dims=(16, 16, 8))
+    prep = tmp_path / "prep"
+    assert main(["prep", str(tmp_path / "case000_ct.nii"), "--work-dims", "16", "16", "8",
+                 "--out-dir", str(prep)]) == 0
+    capsys.readouterr()
+    # pytest.fail is not an OSError, so main cannot turn an overrun into exit 1
+    previous = signal.signal(signal.SIGALRM, lambda *_: pytest.fail("train ran for over 5 s"))
+    signal.alarm(5)
+    try:
+        code = main(["train", str(prep / "case000.manifest"), "--steps", "1", "--depth", "1",
+                     "--batch-size", "4294967296", "--out-dir", str(tmp_path / "run")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: batch_size must be an integer in")
+    assert not (tmp_path / "run").exists()
 
 
 def test_eval_rejects_foreign_checkpoint(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_mask
-from ribfill import metrics
 from ribfill.grid import Mask, ShapeError
 from ribfill.metrics import (
     EmptyMaskError,
@@ -87,13 +88,27 @@ def test_edt_matches_brute_force_exactly_at_non_dyadic_spacing():
             assert np.array_equal(edt_sq(m), brute_force_edt_sq(m))
 
 
-def test_edt_row_blocks_match_brute_force(monkeypatch):
-    # room for three 10-long rows: the x pass runs 21 blocks of 3 rows, the
-    # y pass (70 rows of 9) 23 blocks of 3 and a short last block of 1
-    monkeypatch.setattr(metrics, "_MINPLUS_BYTES", 3 * 8 * 10 * 10)
-    m = random_mask(np.random.default_rng(8), (10, 9, 7), 0.05, (0.7, 1.3, 2.9))
-    assert m.data.any()
-    assert np.array_equal(edt_sq(m), brute_force_edt_sq(m))
+@settings(max_examples=150)
+@given(
+    dims=st.tuples(*[st.integers(1, 10)] * 3),
+    spacing=st.tuples(*[st.sampled_from((0.5, 0.7, 1.0, 1.3, 2.9, 1e5, 3e7)) | st.floats(0.01, 1e7)] * 3),
+    density=st.sampled_from((0.0, 0.02, 0.2, 0.6, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dims=(10, 10, 10), spacing=(1e5, 0.7, 2.9), density=0.0, seed=0)
+def test_edt_equals_brute_force_bytes(dims, spacing, density, seed):
+    """The offset scan, its skip of constant lines and its stop bound leave every byte of the
+    all-pairs minimum.  ``density`` 0 gives one voxel and 1 every voxel; in between, each mask
+    holds an all-full x line and, given two rows, an all-empty one."""
+    w, h, d = dims
+    rng = np.random.default_rng(seed)
+    arr = (rng.uniform(size=(d, h, w)) < density).astype(np.float64)
+    if d * h > 1 and 0.0 < density < 1.0:
+        arr[0, 0, :] = 1.0
+        arr[-1, -1, :] = 0.0
+    arr[tuple(rng.integers(0, (d, h, w)))] = 1.0
+    m = Mask(arr, spacing)
+    assert edt_sq(m).tobytes() == brute_force_edt_sq(m).tobytes()
 
 
 def test_edt_all_foreground_is_zero():

@@ -54,9 +54,17 @@ def test_config_validation_and_plan():
     (OptState, "batch_size", 2.0),
     (OptState, "step", 1.0),
     (OptState, "step", None),
-], ids=["depth-float", "base-float", "depth-nan", "base-str", "batch-float", "step-float", "step-none"])
+    (NetConfig, "depth", 0),
+    (NetConfig, "depth", 2**32),
+    (NetConfig, "base_channels", 2**32),
+    (OptState, "batch_size", 2**32),
+    (OptState, "step", -1),
+    (OptState, "step", 2**64),
+], ids=["depth-float", "base-float", "depth-nan", "base-str", "batch-float", "step-float", "step-none",
+        "depth-0", "depth-2^32", "base-2^32", "batch-2^32", "step-neg", "step-2^64"])
 def test_non_integral_count_rejected(make, field, value):
-    """A count that is not an integer is rejected when built, not later by ``range`` or ``struct.pack``."""
+    """A count that is not an integer, or one its checkpoint slot cannot hold, is rejected when built,
+    not later by ``range`` or ``struct.pack``; so is a negative step, whose Adam bias correction is 0."""
     with pytest.raises(DomainError, match=f"^{field} must be an integer"):
         make(**{field: value})
 
@@ -64,6 +72,14 @@ def test_non_integral_count_rejected(make, field, value):
 def test_integral_counts_of_any_integer_type_accepted():
     assert NetConfig(depth=np.int64(2), base_channels=np.uint8(8)) == NetConfig()
     assert OptState(batch_size=np.int32(2), step=np.int64(3)).step == 3
+
+
+def test_largest_optimiser_counts_round_trip(tmp_path):
+    params = init_params(NetConfig(depth=1, base_channels=1), seed=0)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, params, OptState(batch_size=2**32 - 1, step=2**64 - 1))
+    opt = load_checkpoint(path)[1]
+    assert (opt.batch_size, opt.step) == (2**32 - 1, 2**64 - 1)
 
 
 def test_tiny_config_stays_small():
