@@ -83,10 +83,23 @@ class CheckpointError(ValueError):
     """An unreadable, foreign, or truncated checkpoint file."""
 
 
-def _check_counts(obj, **spans: tuple[int, int]) -> None:
-    """Raise a DomainError naming the first field of obj that is not an integer in its span ``(lo, hi)``;
-    each ``hi`` is the most the field's checkpoint slot holds."""
-    for name, (lo, hi) in spans.items():
+# Every number a checkpoint stores outside its tensors, field by field in file order with its
+# little-endian struct code: the net header, and the optimiser block after the tensors (see
+# :func:`load_checkpoint`).  Each block is packed, unpacked and bounded from its table alone.
+_NET_SLOTS = {"depth": "I", "base_channels": "I"}
+_OPT_SLOTS = {"lr": "d", "beta1": "d", "beta2": "d", "eps": "d", "weight_decay": "d", "batch_size": "I", "step": "Q"}
+
+
+def _layout(slots: dict[str, str]) -> str:
+    """The struct format of one block of :data:`_NET_SLOTS` or :data:`_OPT_SLOTS`."""
+    return "<" + "".join(slots.values())
+
+
+def _check_counts(obj, slots: dict[str, str], **lows: int) -> None:
+    """Raise a DomainError naming the first field of obj that is not an integer from its lower bound in
+    ``lows`` to the most its slot in ``slots`` holds."""
+    for name, lo in lows.items():
+        hi = 2 ** (8 * struct.calcsize("<" + slots[name])) - 1
         value = getattr(obj, name)
         if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
             raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
@@ -98,7 +111,7 @@ class NetConfig:
     base_channels: int = 8
 
     def __post_init__(self) -> None:
-        _check_counts(self, depth=(1, 2**32 - 1), base_channels=(1, 2**32 - 1))
+        _check_counts(self, _NET_SLOTS, depth=1, base_channels=1)
 
     def layer_plan(self) -> list[tuple[str, int, int]]:
         """(name, in_channels, out_channels) for every conv, in forward order."""
@@ -526,20 +539,16 @@ def _doubling_grad(g: np.ndarray, lo: np.ndarray, a: np.ndarray, b: np.ndarray) 
     return gc
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, with one exp that never overflows.
-
-    ``out`` may be x itself; the only full-size temporary is e^-|x|.
-    """
+def _sigmoid(x: np.ndarray) -> None:
+    """Squash x in place to 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, with one exp that never
+    overflows; the only full-size temporary is e^-|x|."""
     pos = x >= 0.0
     e = np.abs(x)
     np.exp(np.negative(e, out=e), out=e)
-    if out is None:
-        out = np.empty_like(x)
-    np.copyto(out, e)
-    np.copyto(out, 1.0, where=pos)
+    np.copyto(x, e)
+    np.copyto(x, 1.0, where=pos)
     e += 1.0
-    return np.divide(out, e, out=out)
+    np.divide(x, e, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +661,7 @@ def forward(params: NetParams, vol: Volume, box: Box | None = None) -> tuple[Vol
             out += t[f"{layer}.b"][:, None]
             flat, n = out.reshape(-1), _BLOCK_BYTES // 8
             for i in range(0, flat.size, n):
-                _sigmoid(flat[i : i + n], out=flat[i : i + n])
+                _sigmoid(flat[i : i + n])
             out = out.reshape(1, *saved.shape[1:])
         records.append((op, layer, lo, saved))
     return Volume(out[0], vol.spacing, UNIT), Tape(params, out, records)
@@ -757,7 +766,7 @@ class OptState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_counts(self, batch_size=(1, 2**32 - 1), step=(0, 2**64 - 1))
+        _check_counts(self, _OPT_SLOTS, batch_size=1, step=0)
         # written as "not (valid)" so that NaN, which fails every comparison, is rejected
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise DomainError(f"betas must be in [0, 1), got {self.beta1}, {self.beta2}")
@@ -806,17 +815,22 @@ _CKPT_MAGIC = b"RFCK"
 _CKPT_VERSION = 1
 
 
+def _f8(a: np.ndarray) -> bytes:
+    """a's values as little-endian float64 in C order, as a checkpoint stores every tensor and moment."""
+    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+
+
 def save_checkpoint(path, params: NetParams, opt: OptState) -> None:
-    """Versioned little-endian binary dump of parameters and optimiser state.
+    """Versioned little-endian binary dump of parameters and optimiser state, laid out as
+    :func:`load_checkpoint` reads it.
 
     It is written atomically by :func:`ribfill.grid._write_atomic`, so a
     failed or interrupted save leaves the previous checkpoint whole.
     """
-    cfg = params.config
     chunks: list[bytes] = [
         _CKPT_MAGIC,
         struct.pack("<I", _CKPT_VERSION),
-        struct.pack("<II", cfg.depth, cfg.base_channels),
+        struct.pack(_layout(_NET_SLOTS), *(getattr(params.config, name) for name in _NET_SLOTS)),
         struct.pack("<I", len(params.tensors)),
     ]
     for name, tensor in params.tensors.items():
@@ -825,31 +839,25 @@ def save_checkpoint(path, params: NetParams, opt: OptState) -> None:
         chunks.append(raw)
         chunks.append(struct.pack("<B", tensor.ndim))
         chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        chunks.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
-    chunks.append(
-        struct.pack(
-            "<dddddIQ",
-            opt.lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay,
-            opt.batch_size, opt.step,
-        )
-    )
-    have_moments = bool(opt.m)
-    chunks.append(struct.pack("<B", int(have_moments)))
-    if have_moments:
-        for store in (opt.m, opt.v):
-            for name in params.tensors:
-                chunks.append(np.ascontiguousarray(store[name], dtype="<f8").tobytes())
+        chunks.append(_f8(tensor))
+    chunks.append(struct.pack(_layout(_OPT_SLOTS), *(getattr(opt, name) for name in _OPT_SLOTS)))
+    chunks.append(struct.pack("<B", bool(opt.m)))
+    if opt.m:
+        chunks += [_f8(store[name]) for store in (opt.m, opt.v) for name in params.tensors]
     _write_atomic(path, b"".join(chunks))
 
 
 class _Reader:
-    def __init__(self, raw: bytes) -> None:
-        self.raw = raw
+    """A cursor over the bytes of the checkpoint at ``path``; every error it raises names the file."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self.raw = Path(path).read_bytes()
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.raw):
-            raise CheckpointError(f"truncated checkpoint: wanted {n} bytes at offset {self.pos}")
+            raise CheckpointError(f"{self.path}: truncated checkpoint: wanted {n} bytes at offset {self.pos}")
         out = self.raw[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -857,23 +865,55 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def fields(self, slots: dict[str, str]) -> dict[str, object]:
+        """One block of :data:`_NET_SLOTS` or :data:`_OPT_SLOTS`, keyed by field."""
+        return dict(zip(slots, self.unpack(_layout(slots))))
+
+    def f8(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next float64 array of ``shape``, as :func:`_f8` wrote it."""
+        return np.frombuffer(self.take(math.prod(shape) * 8), dtype="<f8").reshape(shape).copy()
+
 
 def load_checkpoint(path) -> tuple[NetParams, OptState]:
-    rd = _Reader(Path(path).read_bytes())
+    """The parameters and optimiser state that :func:`save_checkpoint` wrote to ``path``.
+
+    The file holds, in order, all little-endian:
+
+    - the magic ``RFCK`` and the version, ``<I``, 1;
+    - the net header, ``depth`` and ``base_channels``, ``<I`` each;
+    - the tensor count, ``<I``;
+    - each tensor, in the order :func:`init_params` makes them: its name's
+      byte length, ``<H``, the name in UTF-8, its rank, ``<B``, its shape,
+      ``<I`` per axis, and its values, ``<f8`` in C order;
+    - the optimiser block, ``lr``, ``beta1``, ``beta2``, ``eps`` and
+      ``weight_decay``, ``<d`` each, ``batch_size``, ``<I``, and ``step``,
+      ``<Q``;
+    - the moments flag, ``<B``; if it is not 0, Adam's ``m`` of every
+      tensor, then its ``v``, ``<f8`` each in the tensors' order and shapes.
+
+    :data:`_NET_SLOTS` and :data:`_OPT_SLOTS` declare the two blocks.
+    Every failure to read the file raises ``OSError``, and every bad byte a
+    :class:`CheckpointError` that names the file: a wrong magic or version;
+    a net header :class:`NetConfig` rejects; a tensor count other than
+    ``2 * (3 * depth + 2)``, checked before the plan is built; a tensor
+    repeated or of a name or shape the header's net does not have; an
+    optimiser block :class:`OptState` rejects; a file that ends before its
+    layout does; and bytes after it.
+    """
+    rd = _Reader(path)
     if rd.take(4) != _CKPT_MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint (bad magic)")
     (version,) = rd.unpack("<I")
     if version != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    depth, base = rd.unpack("<II")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     try:
-        config = NetConfig(depth=depth, base_channels=base)
+        config = NetConfig(**rd.fields(_NET_SLOTS))
     except DomainError as exc:
         raise CheckpointError(f"{path}: bad net header: {exc}") from None
     (n_tensors,) = rd.unpack("<I")
     # 3d + 2 convs of two tensors each, checked first: a corrupt depth makes a huge plan
-    if n_tensors != 2 * (3 * depth + 2):
-        raise CheckpointError(f"{path}: {n_tensors} tensors cannot make a depth-{depth} net")
+    if n_tensors != 2 * (3 * config.depth + 2):
+        raise CheckpointError(f"{path}: {n_tensors} tensors cannot make a depth-{config.depth} net")
     shapes = _tensor_shapes(config)
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
@@ -884,26 +924,16 @@ def load_checkpoint(path) -> tuple[NetParams, OptState]:
         if name in tensors or shapes.get(name) != shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} of shape {shape} is repeated or does not fit "
-                f"a {depth}/{base} net"
+                f"a {config.depth}/{config.base_channels} net"
             )
-        raw = rd.take(math.prod(shape) * 8)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    lr, beta1, beta2, eps, wd, batch, step = rd.unpack("<dddddIQ")
+        tensors[name] = rd.f8(shape)
     try:
-        opt = OptState(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=wd,
-            batch_size=batch, step=step,
-        )
+        opt = OptState(**rd.fields(_OPT_SLOTS))
     except DomainError as exc:
         raise CheckpointError(f"{path}: bad optimiser block: {exc}") from None
     (have_moments,) = rd.unpack("<B")
     if have_moments:
-        for store_name in ("m", "v"):
-            store: dict[str, np.ndarray] = {}
-            for name, tensor in tensors.items():
-                raw = rd.take(tensor.size * 8)
-                store[name] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape).copy()
-            setattr(opt, store_name, store)
+        opt.m, opt.v = ({name: rd.f8(t.shape) for name, t in tensors.items()} for _ in range(2))
     if rd.pos != len(rd.raw):
-        raise CheckpointError(f"{len(rd.raw) - rd.pos} unexpected trailing bytes")
+        raise CheckpointError(f"{path}: {len(rd.raw) - rd.pos} unexpected trailing bytes")
     return NetParams(config=config, tensors=tensors), opt

@@ -32,10 +32,10 @@ _CODES = {DT_FLOAT32: "float32", DT_UINT8: "uint8"}
 
 
 class NiftiError(ValueError):
-    """A malformed or unsupported file; ``field`` names the offending part."""
+    """A malformed or unsupported file; ``field`` names the offending part and ``message`` its fault."""
 
     def __init__(self, field: str, message: str) -> None:
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
 
 
@@ -139,26 +139,30 @@ def read_volume(path: str | Path, domain: str | None = None) -> tuple[Volume, Vo
     uint8 payloads come back as values/255 in the unit domain; float32
     payloads default to the unbounded domain unless the caller declares
     otherwise via ``domain`` (declaring ``unit`` for out-of-range data
-    fails the usual construction check).
+    fails the usual construction check).  Every :class:`NiftiError` it
+    raises ends its message with the file's path.
     """
     raw = Path(path).read_bytes()
-    header = _unpack_header(raw)
-    w, h, d = header.dims
-    itemsize = 1 if header.datatype == "uint8" else 4
-    need = w * h * d * itemsize
-    payload = raw[DATA_OFFSET:]
-    if len(payload) < need:
-        raise NiftiError("data", f"payload truncated: need {need} bytes, have {len(payload)}")
-    if len(payload) > need:
-        raise NiftiError("data", f"payload oversized: need {need} bytes, have {len(payload)}")
-    if header.datatype == "uint8":
-        arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-        dom = UNIT if domain is None else domain
-    else:
-        arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        if not np.isfinite(arr).all():
-            raise NiftiError("data", "payload holds a non-finite value")
-        dom = UNBOUNDED if domain is None else domain
+    try:
+        header = _unpack_header(raw)
+        w, h, d = header.dims
+        itemsize = 1 if header.datatype == "uint8" else 4
+        need = w * h * d * itemsize
+        payload = raw[DATA_OFFSET:]
+        if len(payload) < need:
+            raise NiftiError("data", f"payload truncated: need {need} bytes, have {len(payload)}")
+        if len(payload) > need:
+            raise NiftiError("data", f"payload oversized: need {need} bytes, have {len(payload)}")
+        if header.datatype == "uint8":
+            arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+            dom = UNIT if domain is None else domain
+        else:
+            arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise NiftiError("data", "payload holds a non-finite value")
+            dom = UNBOUNDED if domain is None else domain
+    except NiftiError as exc:
+        raise NiftiError(exc.field, f"{exc.message} in {path}") from None
     if dom not in DOMAINS:
         raise DomainError(f"unknown value domain {dom!r}")
     arr = arr.reshape(d, h, w)

@@ -222,6 +222,21 @@ def test_train_rejects_volumes_that_do_not_match_manifest_dims(tmp_path, capsys)
     assert "(16, 16, 8)" in err and "(64, 64, 32)" in err
 
 
+def test_train_names_a_truncated_volume(tmp_path, capsys):
+    run_phantom(tmp_path, dims=(16, 16, 8))
+    prep = tmp_path / "prep"
+    assert main(["prep", str(tmp_path / "case000_ct.nii"), "--work-dims", "16", "16", "8",
+                 "--out-dir", str(prep)]) == 0
+    defective = prep / "case000_defective.nii"
+    defective.write_bytes(defective.read_bytes()[:-10])
+    capsys.readouterr()
+    code = main(["train", str(prep / "case000.manifest"), "--steps", "1", "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: data: payload truncated: ")
+    assert err[0].endswith(f" in {defective}")
+
+
 def test_train_rejects_a_batch_size_the_checkpoint_cannot_hold(tmp_path, capsys):
     run_phantom(tmp_path, dims=(16, 16, 8))
     prep = tmp_path / "prep"

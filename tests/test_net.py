@@ -1,6 +1,8 @@
 """Network blocks, gradient checks, optimiser behaviour, checkpoints."""
 
+import dataclasses
 import gc
+import hashlib
 import itertools
 import math
 import signal
@@ -450,7 +452,8 @@ def test_sigmoid_equals_the_two_branch_form_bitwise():
     edges = np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 36.7, -36.7, 709.8, -709.8])
     x = np.concatenate([edges, rng.normal(scale=40.0, size=20000), rng.uniform(-1e-3, 1e-3, 2000)])
     with np.errstate(over="raise", invalid="raise", divide="raise"):  # underflow is expected
-        got = netmod._sigmoid(x)
+        got = x.copy()
+        netmod._sigmoid(got)
         ref = _two_branch_sigmoid(x)
     assert got.tobytes() == ref.tobytes()
 
@@ -917,9 +920,9 @@ def test_checkpoint_rejects_corrupted_header(tmp_path, offset, value):
         signal.signal(signal.SIGALRM, previous)
 
 
-# the optimiser block "<dddddIQ" (lr, beta1, beta2, eps, weight decay, batch
-# size, step) sits just before the one-byte moments flag of a checkpoint saved
-# before the first step; offsets are within that block
+# the optimiser block (lr, beta1, beta2, eps, weight decay, batch size, step;
+# see net._OPT_SLOTS) sits just before the one-byte moments flag of a
+# checkpoint saved before the first step; offsets are within that block
 @pytest.mark.parametrize("offset, fmt, value", [
     (0, "<d", -1.0),
     (8, "<d", 2.0),
@@ -934,7 +937,53 @@ def test_checkpoint_rejects_corrupted_optimiser_block(tmp_path, offset, fmt, val
     path = tmp_path / "ck.bin"
     save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=0), OptState())
     raw = bytearray(path.read_bytes())
-    struct.pack_into(fmt, raw, len(raw) - 1 - struct.calcsize("<dddddIQ") + offset, value)
+    struct.pack_into(fmt, raw, len(raw) - 1 - struct.calcsize(netmod._layout(netmod._OPT_SLOTS)) + offset, value)
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="optimiser"):
         load_checkpoint(path)
+
+
+def test_checkpoint_errors_name_their_file(tmp_path):
+    good = tmp_path / "good.bin"
+    save_checkpoint(good, init_params(NetConfig(depth=1, base_channels=1), seed=0), OptState())
+    raw = good.read_bytes()
+    for damage, text in [
+        (raw[:-4], "truncated checkpoint"),
+        (raw[:4] + struct.pack("<I", 9) + raw[8:], "unsupported checkpoint version 9"),
+        (raw + b"\0\0", "2 unexpected trailing bytes"),
+    ]:
+        path = tmp_path / "bad.bin"
+        path.write_bytes(damage)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and text in str(err.value)
+
+
+def test_checkpoint_slots_declare_every_stored_field():
+    """The two slot tables list every NetConfig field and every OptState field but the moments, in order."""
+    assert list(netmod._NET_SLOTS) == [f.name for f in dataclasses.fields(NetConfig)]
+    assert list(netmod._OPT_SLOTS) == [f.name for f in dataclasses.fields(OptState) if f.name not in ("m", "v")]
+
+
+def _arange_checkpoint_state():
+    """A depth-1, base-1 net and an optimiser state of exact np.arange values, so no RNG sets their bytes."""
+    config = NetConfig(depth=1, base_channels=1)
+    tensors = {name: np.arange(math.prod(shape), dtype=float).reshape(shape) / 64.0 - 0.25
+               for name, shape in netmod._tensor_shapes(config).items()}
+    opt = OptState(lr=0.5, beta1=0.75, beta2=0.875, eps=2.0**-20, weight_decay=0.25, batch_size=3, step=2**33 + 5)
+    return NetParams(config, tensors), opt
+
+
+@pytest.mark.parametrize("moments, digest", [
+    (False, "94e651540bd29e7d13391d74b3cdc88734c15989c6c2ec4a74beb60fff7135b4"),
+    (True, "4cf399bedc43fc5e4abaede8299e258e7679fd019ed47c11477c9952ed961dc1"),
+], ids=["no-moments", "moments"])
+def test_checkpoint_bytes_are_pinned(tmp_path, moments, digest):
+    """The file format, pinned by the SHA-256 of one checkpoint saved without Adam moments and one with them."""
+    params, opt = _arange_checkpoint_state()
+    if moments:
+        grads = {k: np.arange(p.size, dtype=float).reshape(p.shape) / 8.0 - 1.0 for k, p in params.tensors.items()}
+        adam_step(params, grads, opt)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, params, opt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -99,14 +99,16 @@ def test_read_rejects_corruption(tmp_path):
     bad = tmp_path / "bad.nii"
 
     bad.write_bytes(raw[:100])
-    with pytest.raises(NiftiError, match="sizeof_hdr"):
+    with pytest.raises(NiftiError, match="^sizeof_hdr: ") as err:
         read_volume(bad)
+    assert err.value.field == "sizeof_hdr" and str(err.value).endswith(f" in {bad}")
 
     tweaked = bytearray(raw)
     tweaked[344:348] = b"ni1\x00"
     bad.write_bytes(tweaked)
-    with pytest.raises(NiftiError, match="magic"):
+    with pytest.raises(NiftiError, match="^magic: ") as err:
         read_volume(bad)
+    assert err.value.field == "magic" and str(err.value).endswith(f" in {bad}")
 
     tweaked = bytearray(raw)
     struct.pack_into("<h", tweaked, 70, 4)  # int16: unsupported
@@ -142,8 +144,9 @@ def test_read_rejects_corruption(tmp_path):
     assert np.array_equal(read_volume(bad)[0].data, v.data)
 
     bad.write_bytes(raw[:-8])
-    with pytest.raises(NiftiError, match="data"):
+    with pytest.raises(NiftiError, match="^data: payload truncated: ") as err:
         read_volume(bad)
+    assert err.value.field == "data" and str(err.value).endswith(f" in {bad}")
 
     bad.write_bytes(bytes(raw) + b"\x00" * 4)
     with pytest.raises(NiftiError, match="data"):
