@@ -32,8 +32,8 @@ from .defects import (
     normalized_working_ct,
     prepare_case,
 )
-from .grid import UNIT, Mask, Volume, _write_atomic, binarize
-from .losses import DEFECT_CROP, FULL_VOLUME, LOSS_KINDS, finite_diff_check
+from .grid import UNIT, DomainError, Mask, Volume, _write_atomic, binarize
+from .losses import DEFECT_CROP, FULL_VOLUME, LOSS_KINDS, _LOG_COLUMNS, finite_diff_check
 from .manifest import CaseManifest, ManifestError, read_manifest, write_manifest
 from .metrics import EmptyMaskError
 from .net import NetConfig, OptState, load_checkpoint, save_checkpoint
@@ -161,11 +161,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     print(f"wrote {ckpt}")
     print(f"wrote {log_path}")
     if result.log:
-        last = result.log[-1]
-        print(
-            f"step {len(result.log)}: dice={last.dice:.6f} mse={last.mse:.6f} "
-            f"err={last.err:.6f} gf={last.gf:.6f} rib={last.rib:.6f}"
-        )
+        values = " ".join(f"{c}={getattr(result.log[-1], c):.6f}" for c in _LOG_COLUMNS)
+        print(f"step {len(result.log)}: {values}")
     return 0
 
 
@@ -192,6 +189,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.pairs < 1:
+        raise DomainError(f"--pairs must be at least 1, got {args.pairs}")
+    if not (np.isfinite(args.tol) and args.tol > 0.0):
+        raise DomainError(f"--tol must be positive and finite, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     w, h, d = args.dims
     failed = False

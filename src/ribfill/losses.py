@@ -14,6 +14,12 @@ Both are penalised by their mean square.  The combined training loss is
 but never added in.  Every gradient here can be checked against central
 finite differences with :func:`finite_diff_check`; tests hold the whole
 module to that.
+
+``_COMPONENTS`` declares the four components once, in training-log column
+order, each with its value and gradient kernel.  The loss kinds, the
+kernels' sums, :func:`rib_loss`, and (through ``_LOG_COLUMNS``, the
+components then ``rib``) ``train``'s batch mean, its divergence message,
+``train_log_csv`` and the CLI's training summary all read that table.
 """
 
 from __future__ import annotations
@@ -26,16 +32,93 @@ from .grid import UNBOUNDED, UNIT, DomainError, ShapeError, Volume
 
 DICE_EPS = 1e-6
 
-#: every loss kind a ``kind`` argument takes, which CLI ``train --loss`` offers and ``gradcheck`` checks
-LOSS_KINDS = ("dice", "mse", "err", "gf", "mse+err", "mse+err+gf")
-
 DEFECT_CROP = "defect-crop"
 FULL_VOLUME = "full-volume"
 
 
+# --- flat-array kernels; also evaluated at perturbed points outside [0, 1]
+
+
+def _sq_mean(r: np.ndarray) -> float:
+    return float(np.mean(r * r, dtype=np.float64))
+
+
+def _dice_terms(p: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """Soft Dice's ratio as ``(2*sum(pg) + eps, sum p + sum g + eps)``."""
+    num = 2.0 * float(np.sum(p * g, dtype=np.float64)) + DICE_EPS
+    den = float(np.sum(p, dtype=np.float64)) + float(np.sum(g, dtype=np.float64)) + DICE_EPS
+    return num, den
+
+
+def _dice_value(p: np.ndarray, g: np.ndarray) -> float:
+    num, den = _dice_terms(p, g)
+    return 1.0 - num / den
+
+
+def _dice_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    num, den = _dice_terms(p, g)  # quotient rule
+    return (num - 2.0 * g * den) / (den * den)
+
+
+def _mse_value(p: np.ndarray, g: np.ndarray) -> float:
+    return _sq_mean(p - g)
+
+
+def _mse_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return (2.0 / p.size) * (p - g)
+
+
+def _err_value(p: np.ndarray, g: np.ndarray) -> float:
+    return _sq_mean((1.0 - g) * p)
+
+
+def _err_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return (2.0 / p.size) * (1.0 - g) * (1.0 - g) * p
+
+
+def _gf_value(p: np.ndarray, g: np.ndarray) -> float:
+    return _sq_mean((1.0 - p) * g)
+
+
+def _gf_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return (-2.0 / p.size) * g * g * (1.0 - p)
+
+
+#: every loss component in training-log column order, with its value and gradient kernels
+_COMPONENTS = {
+    "dice": (_dice_value, _dice_grad),
+    "mse": (_mse_value, _mse_grad),
+    "err": (_err_value, _err_grad),
+    "gf": (_gf_value, _gf_grad),
+}
+#: the combined training loss, which ``LossReport.rib`` holds; Dice is tracked but never added in
+_RIB_KIND = "mse+err+gf"
+#: every loss kind a ``kind`` argument takes, which CLI ``train --loss`` offers and ``gradcheck`` checks
+LOSS_KINDS = (*_COMPONENTS, "mse+err", _RIB_KIND)
+#: the training log's loss columns, and the fields of :class:`LossReport` they hold
+_LOG_COLUMNS = (*_COMPONENTS, "rib")
+
+
+def _in_order_sum(terms):
+    """Floats or arrays added left to right from 0.0; unlike ``sum`` on Python 3.12+, never compensated."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+def _value_flat(comps: tuple[str, ...], p: np.ndarray, g: np.ndarray) -> float:
+    return _in_order_sum(_COMPONENTS[c][0](p, g) for c in comps)
+
+
+def _grad_flat(comps: tuple[str, ...], p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # 0.0 + the first kernel's array is a new array, and the rest are added into it in place
+    return _in_order_sum(_COMPONENTS[c][1](p, g) for c in comps)
+
+
 @dataclass(frozen=True)
 class LossReport:
-    """Every component on one pair, whatever kind was being optimised."""
+    """Every component on one pair, whatever kind was being optimised; fields before ``n`` follow ``_LOG_COLUMNS``."""
 
     dice: float
     mse: float
@@ -47,7 +130,7 @@ class LossReport:
 
     def total(self, kind: str) -> float:
         """The loss of ``kind`` summed from this report's components, as :func:`loss_value` sums it."""
-        return sum(getattr(self, c) for c in _components(kind))
+        return _in_order_sum(getattr(self, c) for c in _components(kind))
 
 
 def _components(kind: str) -> tuple[str, ...]:
@@ -65,49 +148,6 @@ def _check_pair(pred: Volume, truth: Volume) -> None:
         )
 
 
-# --- flat-array kernels; also evaluated at perturbed points outside [0, 1]
-
-
-def _masked_sq_mean(gate: np.ndarray, val: np.ndarray) -> float:
-    r = gate * val
-    return float(np.mean(r * r, dtype=np.float64))
-
-
-def _value_flat(comps: tuple[str, ...], p: np.ndarray, g: np.ndarray) -> float:
-    total = 0.0
-    for c in comps:
-        if c == "mse":
-            d = p - g
-            total += float(np.mean(d * d, dtype=np.float64))
-        elif c == "err":
-            total += _masked_sq_mean(1.0 - g, p)
-        elif c == "gf":
-            total += _masked_sq_mean(1.0 - p, g)
-        else:  # dice
-            num = 2.0 * float(np.sum(p * g, dtype=np.float64)) + DICE_EPS
-            den = float(np.sum(p, dtype=np.float64)) + float(np.sum(g, dtype=np.float64)) + DICE_EPS
-            total += 1.0 - num / den
-    return total
-
-
-def _grad_flat(comps: tuple[str, ...], p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    n = p.size
-    out = np.zeros_like(p)
-    for c in comps:
-        if c == "mse":
-            out += (2.0 / n) * (p - g)
-        elif c == "err":
-            q = 1.0 - g
-            out += (2.0 / n) * q * q * p
-        elif c == "gf":
-            out += (-2.0 / n) * g * g * (1.0 - p)
-        else:  # dice: quotient rule on (2*sum(pg)+eps)/(sum p + sum g + eps)
-            num = 2.0 * float(np.sum(p * g, dtype=np.float64)) + DICE_EPS
-            den = float(np.sum(p, dtype=np.float64)) + float(np.sum(g, dtype=np.float64)) + DICE_EPS
-            out += (num - 2.0 * g * den) / (den * den)
-    return out
-
-
 # --- public, volume-level API
 
 
@@ -115,11 +155,9 @@ def rib_loss(pred: Volume, truth: Volume, region: str = DEFECT_CROP) -> LossRepo
     """All components at once; ``rib`` is their unweighted sum minus dice."""
     _check_pair(pred, truth)
     p, g = pred.ravel(), truth.ravel()
-    mse = _value_flat(("mse",), p, g)
-    err = _value_flat(("err",), p, g)
-    gf = _value_flat(("gf",), p, g)
-    dice = _value_flat(("dice",), p, g)
-    return LossReport(dice=dice, mse=mse, err=err, gf=gf, rib=mse + err + gf, n=p.size, region=region)
+    values = {c: value(p, g) for c, (value, _) in _COMPONENTS.items()}
+    rib = _in_order_sum(values[c] for c in _components(_RIB_KIND))
+    return LossReport(**values, rib=rib, n=p.size, region=region)
 
 
 def loss_value(kind: str, pred: Volume, truth: Volume) -> float:

@@ -774,6 +774,9 @@ class OptState:
             raise DomainError(f"lr and eps must be positive, got {self.lr}, {self.eps}")
         if not self.weight_decay >= 0.0:
             raise DomainError(f"weight decay must be non-negative, got {self.weight_decay}")
+        for name in ("lr", "eps", "weight_decay"):  # +inf passes the checks above
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def adam_step(params: NetParams, grads: dict[str, np.ndarray], opt: OptState) -> tuple[NetParams, OptState]:
@@ -888,7 +891,7 @@ def load_checkpoint(path) -> tuple[NetParams, OptState]:
     - the optimiser block, ``lr``, ``beta1``, ``beta2``, ``eps`` and
       ``weight_decay``, ``<d`` each, ``batch_size``, ``<I``, and ``step``,
       ``<Q``;
-    - the moments flag, ``<B``; if it is not 0, Adam's ``m`` of every
+    - the moments flag, ``<B``, 0 or 1; if it is 1, Adam's ``m`` of every
       tensor, then its ``v``, ``<f8`` each in the tensors' order and shapes.
 
     :data:`_NET_SLOTS` and :data:`_OPT_SLOTS` declare the two blocks.
@@ -897,8 +900,8 @@ def load_checkpoint(path) -> tuple[NetParams, OptState]:
     a net header :class:`NetConfig` rejects; a tensor count other than
     ``2 * (3 * depth + 2)``, checked before the plan is built; a tensor
     repeated or of a name or shape the header's net does not have; an
-    optimiser block :class:`OptState` rejects; a file that ends before its
-    layout does; and bytes after it.
+    optimiser block :class:`OptState` rejects; a moments flag other than 0
+    or 1; a file that ends before its layout does; and bytes after it.
     """
     rd = _Reader(path)
     if rd.take(4) != _CKPT_MAGIC:
@@ -932,6 +935,8 @@ def load_checkpoint(path) -> tuple[NetParams, OptState]:
     except DomainError as exc:
         raise CheckpointError(f"{path}: bad optimiser block: {exc}") from None
     (have_moments,) = rd.unpack("<B")
+    if have_moments not in (0, 1):
+        raise CheckpointError(f"{path}: moments flag {have_moments} is neither 0 nor 1")
     if have_moments:
         opt.m, opt.v = ({name: rd.f8(t.shape) for name, t in tensors.items()} for _ in range(2))
     if rd.pos != len(rd.raw):

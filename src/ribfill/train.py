@@ -9,10 +9,10 @@ full grid instead is a switch away, for runs that should also punish
 stray mass far from the defect.
 
 CSV columns are part of the external contract: training logs are
-``step, dice, mse, err, gf, rib`` and evaluation tables are
-``case, dsc, hd_mm, hd_ab, hd_ba``.  Floats are written with ``repr`` so
-the files round-trip losslessly and identical runs produce identical
-bytes.
+``step`` and then ``losses._LOG_COLUMNS``, the loss components and their
+``rib`` sum; evaluation tables are ``case`` and then the columns of
+``_EVAL_COLUMNS``.  Floats are written with ``repr`` so the files
+round-trip losslessly and identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .defects import TrainingCase
 from .grid import Box, DomainError, _finite_threshold, binarize, crop
-from .losses import DEFECT_CROP, FULL_VOLUME, LossReport, _components, loss_gradient, rib_loss
+from .losses import DEFECT_CROP, FULL_VOLUME, _LOG_COLUMNS, _RIB_KIND, LossReport, _components, loss_gradient, rib_loss
 from .manifest import _BAD_CASE_ID, _bad_case_id
 from .metrics import EmptyMaskError, MetricReport, _check_percentile, metric_report
 from .net import NetConfig, NetParams, OptState, adam_step, backward, forward, init_params
@@ -56,7 +56,7 @@ def train(
     config: NetConfig,
     opt: OptState,
     steps: int,
-    loss_kind: str = "mse+err+gf",
+    loss_kind: str = _RIB_KIND,
     seed: int = 0,
     region: str = DEFECT_CROP,
     params: NetParams | None = None,
@@ -101,30 +101,21 @@ def train(
         assert acc is not None
         for name in acc:
             acc[name] /= opt.batch_size
-        k = len(reports)
-        mean = LossReport(
-            dice=sum(r.dice for r in reports) / k,
-            mse=sum(r.mse for r in reports) / k,
-            err=sum(r.err for r in reports) / k,
-            gf=sum(r.gf for r in reports) / k,
-            rib=sum(r.rib for r in reports) / k,
-            n=reports[0].n,
-            region=region,
-        )
+        mean = LossReport(**{c: sum(getattr(r, c) for r in reports) / len(reports) for c in _LOG_COLUMNS},
+                          n=reports[0].n, region=region)
         if not math.isfinite(mean.total(loss_kind)):
-            raise TrainingDivergedError(
-                f"non-finite {loss_kind} loss at step {step}: "
-                f"dice={mean.dice!r} mse={mean.mse!r} err={mean.err!r} gf={mean.gf!r}"
-            )
+            # every component; the last column, rib, is a sum of them
+            shown = " ".join(f"{c}={getattr(mean, c)!r}" for c in _LOG_COLUMNS[:-1])
+            raise TrainingDivergedError(f"non-finite {loss_kind} loss at step {step}: {shown}")
         result.log.append(mean)
         adam_step(params, acc, opt)
     return result
 
 
 def train_log_csv(log: list[LossReport]) -> str:
-    lines = ["step,dice,mse,err,gf,rib"]
+    lines = [",".join(("step", *_LOG_COLUMNS))]
     for i, r in enumerate(log, start=1):
-        lines.append(f"{i},{r.dice!r},{r.mse!r},{r.err!r},{r.gf!r},{r.rib!r}")
+        lines.append(",".join([str(i), *(repr(getattr(r, c)) for c in _LOG_COLUMNS)]))
     return "\n".join(lines) + "\n"
 
 
@@ -153,12 +144,16 @@ def evaluate(
     return out
 
 
+#: the evaluation table's columns after ``case``, each with the :class:`MetricReport` field it holds
+_EVAL_COLUMNS = (("dsc", "dsc"), ("hd_mm", "hd"), ("hd_ab", "hd_ab"), ("hd_ba", "hd_ba"))
+
+
 def eval_csv(ids: list[str], reports: list[MetricReport]) -> str:
     if len(ids) != len(reports):
         raise DomainError(f"{len(ids)} ids for {len(reports)} reports")
-    lines = ["case,dsc,hd_mm,hd_ab,hd_ba"]
+    lines = [",".join(("case", *(column for column, _ in _EVAL_COLUMNS)))]
     for i, (cid, r) in enumerate(zip(ids, reports)):
         if _bad_case_id(cid):
             raise DomainError(f"case {i}: id {cid!r} {_BAD_CASE_ID}")
-        lines.append(f"{cid},{r.dsc!r},{r.hd!r},{r.hd_ab!r},{r.hd_ba!r}")
+        lines.append(",".join([cid, *(repr(getattr(r, name)) for _, name in _EVAL_COLUMNS)]))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand through ``main``."""
 
+import functools
 import inspect
 import os
 import shutil
@@ -11,12 +12,12 @@ import pytest
 from conftest import fail_atomic_write
 from ribfill.cli import _pipeline_config, build_parser, main
 from ribfill.defects import PipelineConfig
-from ribfill.losses import LOSS_KINDS, finite_diff_check
+from ribfill.losses import LOSS_KINDS, LossReport, finite_diff_check
 from ribfill.manifest import read_manifest
 from ribfill.net import NetConfig, OptState, init_params, save_checkpoint
 from ribfill.nifti import read_volume
 from ribfill.phantom import PhantomSpec
-from ribfill.train import evaluate, train
+from ribfill.train import TrainResult, evaluate, train
 
 
 def run_phantom(out, cases=1, dims=(32, 32, 16)):
@@ -258,6 +259,40 @@ def test_train_rejects_a_batch_size_the_checkpoint_cannot_hold(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+def test_train_summary_line_is_pinned(tmp_path, monkeypatch, capsys):
+    run_phantom(tmp_path, dims=(16, 16, 8))
+    prep = tmp_path / "prep"
+    assert main(["prep", str(tmp_path / "case000_ct.nii"), "--work-dims", "16", "16", "8",
+                 "--out-dir", str(prep)]) == 0
+    log = [
+        LossReport(dice=0.1 + 0.2, mse=1 / 3, err=2 / 3, gf=1e-300, rib=1.0, n=1),
+        LossReport(dice=0.0000005, mse=2 / 3, err=0.1234565, gf=1e-7, rib=12.5, n=1),
+    ]
+    params = init_params(NetConfig(depth=1, base_channels=1), seed=0)
+    # wrapped, so that the parser still reads train's defaults from its signature
+    fake = functools.wraps(train)(lambda *a, **k: TrainResult(params, OptState(), log))
+    monkeypatch.setattr("ribfill.cli.train", fake)
+    capsys.readouterr()
+    assert main(["train", str(prep / "case000.manifest"), "--out-dir", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "step 2: dice=0.000000 mse=0.666667 err=0.123456 gf=0.000000 rib=12.500000"
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+def test_train_rejects_an_infinite_rate_before_writing(tmp_path, capsys, flag):
+    run_phantom(tmp_path, dims=(16, 16, 8))
+    prep = tmp_path / "prep"
+    assert main(["prep", str(tmp_path / "case000_ct.nii"), "--work-dims", "16", "16", "8",
+                 "--out-dir", str(prep)]) == 0
+    capsys.readouterr()
+    code = main(["train", str(prep / "case000.manifest"), "--steps", "1", "--depth", "1",
+                 flag, "inf", "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {flag[2:].replace('-', '_')} must be finite, got inf"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_rejects_foreign_checkpoint(tmp_path, capsys):
     run_phantom(tmp_path)
     prep = tmp_path / "prep"
@@ -299,3 +334,20 @@ def test_gradcheck_passes_by_default(capsys):
 def test_gradcheck_reports_failure(capsys):
     assert main(["gradcheck", "--pairs", "2", "--kinds", "mse", "--tol", "1e-18"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["--pairs", "0"], "--pairs must be at least 1, got 0"),
+    (["--pairs", "-3"], "--pairs must be at least 1, got -3"),
+    (["--tol", "nan"], "--tol must be positive and finite, got nan"),
+    (["--tol", "inf"], "--tol must be positive and finite, got inf"),
+    (["--tol", "0"], "--tol must be positive and finite, got 0.0"),
+    (["--tol=-1e-4"], "--tol must be positive and finite, got -0.0001"),
+], ids=["pairs-0", "pairs-negative", "tol-nan", "tol-inf", "tol-0", "tol-negative"])
+def test_gradcheck_rejects_bad_pairs_and_tol_before_checking(capsys, monkeypatch, argv, text):
+    ran = functools.wraps(finite_diff_check)(lambda *a, **k: pytest.fail("a check ran"))
+    monkeypatch.setattr("ribfill.cli.finite_diff_check", ran)
+    assert main(["gradcheck", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {text}"]

@@ -1,13 +1,17 @@
 """Loss values on worked examples, component relations, gradient oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ribfill.losses as losses
 from conftest import unit_volume
 from ribfill.grid import UNIT, DomainError, Mask, ShapeError, Volume
 from ribfill.losses import (
     DICE_EPS,
     LOSS_KINDS,
+    LossReport,
     finite_diff_check,
     loss_gradient,
     loss_value,
@@ -103,6 +107,14 @@ def test_report_total_equals_loss_value_for_every_kind():
     for kind in LOSS_KINDS:
         assert report.total(kind) == loss_value(kind, pred, truth), kind
     assert report.total("mse+err+gf") == report.rib
+
+
+def test_one_table_declares_the_components_in_log_order():
+    components = tuple(losses._COMPONENTS)
+    assert components == ("dice", "mse", "err", "gf")
+    assert LOSS_KINDS[: len(components)] == components
+    assert losses._LOG_COLUMNS == (*components, "rib")
+    assert tuple(f.name for f in dataclasses.fields(LossReport))[: len(losses._LOG_COLUMNS)] == losses._LOG_COLUMNS
 
 
 def test_gradient_shapes_and_descent_direction():

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import math
+import re
 import signal
 import struct
 import sys
@@ -931,8 +932,11 @@ def test_checkpoint_rejects_corrupted_header(tmp_path, offset, value):
     (0, "<d", math.nan),
     (24, "<d", math.nan),
     (32, "<d", math.nan),
+    (0, "<d", math.inf),
+    (24, "<d", math.inf),
+    (32, "<d", math.inf),
 ], ids=["lr-negative", "beta1-2", "weight-decay-negative", "batch-0", "lr-nan", "eps-nan",
-        "weight-decay-nan"])
+        "weight-decay-nan", "lr-inf", "eps-inf", "weight-decay-inf"])
 def test_checkpoint_rejects_corrupted_optimiser_block(tmp_path, offset, fmt, value):
     path = tmp_path / "ck.bin"
     save_checkpoint(path, init_params(NetConfig(depth=1, base_channels=1), seed=0), OptState())
@@ -941,6 +945,27 @@ def test_checkpoint_rejects_corrupted_optimiser_block(tmp_path, offset, fmt, val
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="optimiser"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("flag", [2, 0xFE])
+def test_checkpoint_rejects_a_moments_flag_other_than_0_or_1(tmp_path, flag):
+    params, opt = _arange_checkpoint_state()
+    adam_step(params, {k: np.ones_like(p) for k, p in params.tensors.items()}, opt)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, params, opt)
+    raw = bytearray(path.read_bytes())
+    at = len(raw) - 2 * 8 * sum(p.size for p in params.tensors.values()) - 1  # the flag, just before m and v
+    assert raw[at] == 1
+    raw[at] = flag
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: moments flag {flag} is neither 0 nor 1$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["lr", "eps", "weight_decay"])
+def test_opt_state_rejects_an_infinite_rate(name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got inf$"):
+        OptState(**{name: math.inf})
 
 
 def test_checkpoint_errors_name_their_file(tmp_path):

@@ -1,5 +1,5 @@
 """Damaged files: each reader either reads one or raises its own typed error, and never anything else,
-and ``train`` and ``eval`` given a damaged input either run or fail with one ``error:`` line.
+and ``prep``, ``train`` and ``eval`` given a damaged input either run or fail with one ``error:`` line.
 
 Hypothesis truncates a valid file or flips one to three of its bits; the
 profile registered in conftest derandomizes it, so every run checks the
@@ -80,10 +80,26 @@ def test_damaged_files_read_or_raise_their_typed_error(valid, name, data):
 
 # the files each command reads, any of which may be damaged, and the files it writes
 _INPUTS = {
+    "prep": ("case000_ct.nii",),
     "train": ("case000.manifest", "case000_defective.nii", "case000_implant.nii"),
     "eval": ("case000.manifest", "case000_defective.nii", "case000_implant.nii", "checkpoint.bin"),
 }
-_WRITES = {"train": {"checkpoint.bin", "training_log.csv"}, "eval": {"metrics.csv"}}
+_WRITES = {
+    "prep": {"case000.manifest", "case000_ct.nii", "case000_bone.nii", "case000_defective.nii", "case000_implant.nii"},
+    "train": {"checkpoint.bin", "training_log.csv"},
+    "eval": {"metrics.csv"},
+}
+# the directories of the ``desk`` fixture that each command's inputs and its output directory are copied from
+_DIRS = {"prep": ("raw", "in"), "train": ("in", "out"), "eval": ("in", "out")}
+
+
+def _argv(command, src):
+    """``command``'s arguments, but for ``--out-dir``, on the inputs in ``src``."""
+    return {
+        "prep": ["prep", src / "case000_ct.nii", "--seed", 25],
+        "train": ["train", src / "case000.manifest", "--steps", 1, "--depth", 1, "--base-channels", 2],
+        "eval": ["eval", src / "case000.manifest", "--checkpoint", src / "checkpoint.bin"],
+    }[command]
 
 
 def _quiet_main(argv):
@@ -96,7 +112,8 @@ def _quiet_main(argv):
 
 @pytest.fixture(scope="module")
 def desk(tmp_path_factory):
-    """A prepared desk-recipe case in ``in`` and, in ``out``, the files a depth-1 train and eval wrote on it."""
+    """A desk-recipe CT in ``raw``, the case prepared from it in ``in`` and, in ``out``, the files a depth-1
+    train and eval wrote on it."""
     d = tmp_path_factory.mktemp("desk")
     steps = [
         ["phantom", "--dims", 64, 64, 32, "--spacing", 6, 6, 12, "--rib-radius", 2.6, "--out-dir", d / "raw"],
@@ -114,21 +131,18 @@ def desk(tmp_path_factory):
 @pytest.mark.parametrize("command", sorted(_INPUTS))
 @settings(max_examples=30)
 @given(data=st.data())
-def test_train_and_eval_on_a_damaged_input_run_or_fail_with_one_error_line(desk, command, data):
+def test_commands_on_a_damaged_input_run_or_fail_with_one_error_line(desk, command, data):
     """main returns 0 or 1 and raises nothing; a failed run prints one ``error:`` line and changes no file
     in its output directory, and a run that succeeds changes only the files it writes, and writes them
     again byte for byte when rerun."""
     target = data.draw(st.sampled_from(_INPUTS[command]), label="damaged file")
     with tempfile.TemporaryDirectory(dir=desk) as work:
-        src, out = Path(work) / "in", Path(work) / "out"
-        shutil.copytree(desk / "in", src)
-        shutil.copytree(desk / "out", out)
+        src, out = Path(work) / "src", Path(work) / "out"
+        shutil.copytree(desk / _DIRS[command][0], src)
+        shutil.copytree(desk / _DIRS[command][1], out)
         (src / target).write_bytes(_damage(data, (src / target).read_bytes()))
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        if command == "train":
-            argv = ["train", src / "case000.manifest", "--steps", 1, "--depth", 1, "--base-channels", 2]
-        else:
-            argv = ["eval", src / "case000.manifest", "--checkpoint", src / "checkpoint.bin"]
+        argv = _argv(command, src)
         code, err = _quiet_main([*argv, "--out-dir", out])
         after = {p.name: p.read_bytes() for p in out.iterdir()}
         assert code in (0, 1)

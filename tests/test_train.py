@@ -8,8 +8,8 @@ import pytest
 
 from ribfill.defects import DefectSpec, PipelineConfig, prepare_case
 from ribfill.grid import HU, DomainError, ShapeError, Volume, crop
-from ribfill.losses import DEFECT_CROP, FULL_VOLUME, loss_gradient, rib_loss
-from ribfill.metrics import EmptyMaskError
+from ribfill.losses import DEFECT_CROP, FULL_VOLUME, LossReport, loss_gradient, rib_loss
+from ribfill.metrics import EmptyMaskError, MetricReport
 from ribfill.net import NetConfig, OptState, adam_step, backward, forward, init_params
 from ribfill.train import (
     TrainingDivergedError,
@@ -61,13 +61,15 @@ def test_non_finite_loss_aborts(monkeypatch):
     import sys
 
     trainmod = sys.modules["ribfill.train"]
-    from ribfill.losses import LossReport
 
     case = tiny_case()
     bad = LossReport(dice=np.nan, mse=np.nan, err=0.0, gf=0.0, rib=np.nan, n=1, region=DEFECT_CROP)
     monkeypatch.setattr(trainmod, "rib_loss", lambda *a: bad)
     with pytest.raises(TrainingDivergedError, match="step 1"):
         train([case], CFG, OptState(), steps=5)
+    with pytest.raises(TrainingDivergedError) as err:
+        train([case], CFG, OptState(), steps=5, loss_kind="mse")
+    assert str(err.value) == "non-finite mse loss at step 1: dice=nan mse=nan err=0.0 gf=0.0"
 
 
 def test_huge_learning_rate_raises_divergence():
@@ -158,6 +160,30 @@ def test_train_log_csv_round_trips():
         assert parts[0] == str(i)
         assert float(parts[1]) == r.dice
         assert float(parts[5]) == r.rib
+
+
+def test_train_log_csv_bytes_are_pinned():
+    log = [
+        LossReport(dice=0.1 + 0.2, mse=1 / 3, err=2 / 3, gf=1e-300, rib=1 / 3 + 2 / 3 + 1e-300, n=4096),
+        LossReport(dice=np.nan, mse=5e-324, err=0.0, gf=1.0, rib=123456.78901234567, n=8, region=FULL_VOLUME),
+    ]
+    assert train_log_csv(log) == (
+        "step,dice,mse,err,gf,rib\n"
+        "1,0.30000000000000004,0.3333333333333333,0.6666666666666666,1e-300,1.0\n"
+        "2,nan,5e-324,0.0,1.0,123456.78901234567\n"
+    )
+
+
+def test_eval_csv_bytes_are_pinned():
+    reports = [
+        MetricReport(dsc=2 / 3, hd=0.1 + 0.2, hd_ab=0.30000000000000004, hd_ba=12.0, n_a=3, n_b=4),
+        MetricReport(dsc=1.0, hd=6.000000000000001, hd_ab=1e-17, hd_ba=6.000000000000001, n_a=1, n_b=1),
+    ]
+    assert eval_csv(["case000", "case001"], reports) == (
+        "case,dsc,hd_mm,hd_ab,hd_ba\n"
+        "case000,0.6666666666666666,0.30000000000000004,0.30000000000000004,12.0\n"
+        "case001,1.0,6.000000000000001,1e-17,6.000000000000001\n"
+    )
 
 
 def test_evaluate_scores_each_case_on_its_crop():
