@@ -8,7 +8,9 @@ against finite differences.  Every subcommand takes ``--seed`` and
 rerunning writes byte-identical files.  Every file is written atomically
 (:func:`ribfill.grid._write_atomic`): a failed write leaves the previous file
 whole, and a killed process may leave a ``<name>.<pid>.tmp`` beside an intact
-target.  ``prep`` writes a case's manifest after its volumes.
+target.  ``prep`` writes a case's manifest after its volumes.  A command
+makes ``--out-dir`` only when it writes its first file there, so one that
+fails before that leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -47,14 +49,14 @@ def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out-dir", default=".", help="directory for outputs (default .)")
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _out_path(args: argparse.Namespace, name: str) -> Path:
+    """``name`` in ``--out-dir``, which is made only now, as a file is about to be written there."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out / name
 
 
 def _cmd_phantom(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     for i in range(args.cases):
         spec = PhantomSpec(
             dims=tuple(args.dims),
@@ -64,8 +66,9 @@ def _cmd_phantom(args: argparse.Namespace) -> int:
             jitter=args.jitter,
             seed=args.seed + i,
         )
-        path = out / f"case{i:03d}_ct.nii"
-        write_volume(path, generate_phantom(spec), "float32")
+        vol = generate_phantom(spec)
+        path = _out_path(args, f"case{i:03d}_ct.nii")
+        write_volume(path, vol, "float32")
         print(f"wrote {path}")
     return 0
 
@@ -89,7 +92,6 @@ def _case_id(path: Path) -> str:
 
 
 def _cmd_prep(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     config = _pipeline_config(args)
     ct_paths: dict[str, Path] = {}
     for ct_path in map(Path, args.ct):
@@ -119,8 +121,8 @@ def _cmd_prep(args: argparse.Namespace) -> int:
             window=config.window,
         )
         for name, vol, datatype in files.values():
-            write_volume(out / name, vol, datatype)
-        mpath = out / f"{cid}.manifest"
+            write_volume(_out_path(args, name), vol, datatype)
+        mpath = _out_path(args, f"{cid}.manifest")
         write_manifest(mpath, manifest)
         print(f"wrote {mpath} (box {case.box.origin}+{case.box.size})")
     return 0
@@ -148,15 +150,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
         weight_decay=args.weight_decay,
         batch_size=args.batch_size,
     )
-    out = _out_dir(args)
     cases = [_load_case(p)[1] for p in args.manifests]
     result = train(
         cases, config, opt, steps=args.steps, loss_kind=args.loss,
         seed=args.seed, region=args.region,
     )
-    ckpt = out / "checkpoint.bin"
+    ckpt = _out_path(args, "checkpoint.bin")
     save_checkpoint(ckpt, result.params, result.opt)
-    log_path = out / "training_log.csv"
+    log_path = _out_path(args, "training_log.csv")
     _write_atomic(log_path, train_log_csv(result.log).encode("utf-8"))
     print(f"wrote {ckpt}")
     print(f"wrote {log_path}")
@@ -167,7 +168,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     params, _ = load_checkpoint(args.checkpoint)
     ids: list[str] = []
     cases: list[TrainingCase] = []
@@ -179,7 +179,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         reports = evaluate(params, cases, threshold=args.threshold, percentile=args.percentile)
     except EmptyMaskError as exc:
         raise EmptyMaskError(f"{args.manifests[exc.case]}: {exc}", exc.case) from None
-    table = out / "metrics.csv"
+    table = _out_path(args, "metrics.csv")
     _write_atomic(table, eval_csv(ids, reports).encode("utf-8"))
     print(f"wrote {table}")
     mean_dsc = sum(r.dsc for r in reports) / len(reports)
@@ -201,7 +201,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         for _ in range(args.pairs):
             pred = Volume(rng.uniform(0.0, 1.0, size=(d, h, w)), (1.0, 1.0, 1.0), UNIT)
             truth = Volume(rng.uniform(0.0, 1.0, size=(d, h, w)), (1.0, 1.0, 1.0), UNIT)
-            worst = max(worst, finite_diff_check(kind, pred, truth, h=args.h))
+            # np.maximum keeps a NaN, which max() would drop
+            worst = np.maximum(worst, finite_diff_check(kind, pred, truth, h=args.h))
         ok = worst < args.tol
         failed = failed or not ok
         print(f"{kind}: max rel err {worst:.3e} ({'ok' if ok else 'FAIL'}, tol {args.tol:g})")

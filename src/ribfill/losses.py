@@ -179,7 +179,8 @@ def finite_diff_check(kind: str, pred: Volume, truth: Volume, h: float = 1e-3) -
 
     Every voxel of ``pred`` is perturbed by ``+-h`` in turn; the relative
     error uses ``max(|analytic|, |numeric|, 1e-8)`` as denominator so that
-    near-zero gradients do not blow it up.
+    near-zero gradients do not blow it up.  A NaN error is the worst case:
+    it is returned at once, so that no tolerance passes it.
     """
     comps = _components(kind)
     _check_pair(pred, truth)
@@ -200,6 +201,8 @@ def finite_diff_check(kind: str, pred: Volume, truth: Volume, h: float = 1e-3) -
         numeric = (fp - fm) / (2.0 * h)
         a = analytic[i]
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if np.isnan(rel):
+            return rel
         if rel > worst:
             worst = rel
     return worst

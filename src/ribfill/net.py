@@ -64,6 +64,7 @@ formulation.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import math
@@ -430,7 +431,8 @@ def _conv_layer(src, lo: np.ndarray, hi: np.ndarray, w: np.ndarray, b: np.ndarra
         set_threads(1)
         try:
             with ThreadPoolExecutor(len(walks)) as executor:
-                for done in [executor.submit(walk, *args) for args in walks]:
+                # each worker runs in a copy of the caller's context, so under its np.errstate
+                for done in [executor.submit(contextvars.copy_context().run, walk, *args) for args in walks]:
                     done.result()
         finally:
             set_threads(threads)

@@ -13,10 +13,11 @@ symmetric volume because the left ribs are produced by mirroring the
 rasterised right-side tubes, never by re-deriving mirrored coordinates.
 
 A tube is rasterised from the squared distance of each pixel to the arc's
-samples, taken in chunks of 64 samples.  Each chunk is scored only on its
-own window: the bounding box of its samples grown by ``r + 1`` and clipped
-to the grid.  That is exact, not an approximation.  A pixel within ``r``
-of its nearest sample lies in that sample's chunk window and gets the same
+samples.  Each sample scores only its own square of pixels, the
+``ceil(2r + 2) + 2`` pixels a side from ``floor(p - r - 1)``, which holds
+every pixel within ``r + 1`` of it; one scatter-min writes all squares into
+the tube's window.  That is exact, not an approximation.  A pixel within
+``r`` of its nearest sample lies in that sample's square and gets the same
 minimum from the same terms; a pixel farther than ``r`` from every sample
 fails the disc test on every plane whatever partial minimum it holds.
 """
@@ -39,6 +40,7 @@ _STERNUM_HALF_W = 2.0        # sternum half-width, in rib radii
 _STERNUM_HALF_T = 1.2        # sternum half-thickness, in rib radii
 _STERNUM_BAND = (0.35, 0.92)  # sternum z extent, of D-1
 _ARC_STEP = 0.35             # curve sampling step along the arc, voxels
+_TERMS_BYTES = 1 << 18       # bytes of distance terms per scatter-min, or one square's if more
 
 
 class GeometryError(ValueError):
@@ -110,11 +112,13 @@ def _rasterize_tube(
 ) -> None:
     """OR one rib tube into ``bone``; ``mirror`` flips it to the left side.
 
-    Each chunk of 64 samples lowers ``d2``, the squared distance to the
-    nearest sample, only on its own window, the pixels within ``r + 1`` of
-    its samples; the rest keep their partial minimum.  A pixel within ``r`` of its nearest sample gets the exact
-    minimum from that sample's chunk; any other fails every disc test
-    ``d2 <= r*r - (z - zc)**2`` whatever partial minimum it holds.
+    ``d2`` is the squared distance to the nearest sample whose square holds
+    the pixel.  The squares are scatter-min'd, a group of samples at a time,
+    into a flat window that spans every square and the tube's reach, so no
+    index needs a mask; ``d2`` is that window cropped to the reach.  A pixel
+    within ``r`` of its nearest sample gets the exact minimum from that
+    sample's square; any other fails every disc test
+    ``d2 <= r*r - (z - zc)**2`` whatever value it holds.
     """
     dz, hy, wx = bone.shape
     m = max(16, int(math.ceil(math.pi * max(a, b) / _ARC_STEP)) + 1)
@@ -126,19 +130,22 @@ def _rasterize_tube(
     y0, y1 = _reach(py, r, hy)
     if x1 < x0 or y1 < y0:
         return
-    xs = np.arange(x0, x1 + 1, dtype=np.float64)
-    ys = np.arange(y0, y1 + 1, dtype=np.float64)
-    dx2 = (xs[:, None] - px[None, :]) ** 2
-    dy2 = (ys[:, None] - py[None, :]) ** 2
-    d2 = np.full((ys.size, xs.size), np.inf)
-    for i in range(0, m, 64):
-        u0, u1 = _reach(px[i : i + 64], r, wx)
-        v0, v1 = _reach(py[i : i + 64], r, hy)
-        if u1 < u0 or v1 < v0:
-            continue
-        win = d2[v0 - y0 : v1 - y0 + 1, u0 - x0 : u1 - x0 + 1]
-        block = dy2[v0 - y0 : v1 - y0 + 1, None, i : i + 64] + dx2[None, u0 - x0 : u1 - x0 + 1, i : i + 64]
-        np.minimum(win, block.min(axis=2), out=win)
+    n = int(math.ceil(2.0 * r + 2.0)) + 2
+    k = np.arange(n)
+    sx = np.floor(px - r - 1.0).astype(np.intp)
+    sy = np.floor(py - r - 1.0).astype(np.intp)
+    ox, oy = int(sx.min()), int(sy.min())
+    cols = max(int(sx.max()) + n, x1 + 1) - ox
+    rows = max(int(sy.max()) + n, y1 + 1) - oy
+    dx2 = (sx[:, None] + k - px[:, None]) ** 2
+    dy2 = (sy[:, None] + k - py[:, None]) ** 2
+    corner = (sy - oy) * cols + (sx - ox)
+    square = (k[:, None] * cols + k).ravel()
+    pad = np.full(rows * cols, np.inf)
+    g = max(1, _TERMS_BYTES // (8 * n * n))
+    for s in (slice(i, i + g) for i in range(0, m, g)):
+        np.minimum.at(pad, (corner[s, None] + square).ravel(), (dy2[s, :, None] + dx2[s, None, :]).ravel())
+    d2 = pad.reshape(rows, cols)[y0 - oy : y1 - oy + 1, x0 - ox : x1 - ox + 1]
 
     z_lo = max(0, int(math.ceil(zc - r)))
     z_hi = min(dz - 1, int(math.floor(zc + r)))

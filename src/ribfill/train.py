@@ -81,34 +81,37 @@ def train(
         params = init_params(config, seed)
     result = TrainResult(params=params, opt=opt)
 
-    for step in range(1, steps + 1):
-        acc: dict[str, np.ndarray] | None = None
-        reports: list[LossReport] = []
-        for j in range(opt.batch_size):
-            c = (opt.step * opt.batch_size + j) % len(cases)
-            try:
-                report, grads = _case_pass(params, cases[c], loss_kind, region)
-            except DomainError as exc:
-                # the cases, kind and region were checked already, so only a
-                # prediction or gradient that stopped being finite gets here
-                raise TrainingDivergedError(f"diverged at step {step}, case {c}: {exc}") from exc
-            reports.append(report)
-            if acc is None:
-                acc = grads
-            else:
-                for name in acc:
-                    acc[name] += grads[name]
-        assert acc is not None
-        for name in acc:
-            acc[name] /= opt.batch_size
-        mean = LossReport(**{c: sum(getattr(r, c) for r in reports) / len(reports) for c in _LOG_COLUMNS},
-                          n=reports[0].n, region=region)
-        if not math.isfinite(mean.total(loss_kind)):
-            # every component; the last column, rib, is a sum of them
-            shown = " ".join(f"{c}={getattr(mean, c)!r}" for c in _LOG_COLUMNS[:-1])
-            raise TrainingDivergedError(f"non-finite {loss_kind} loss at step {step}: {shown}")
-        result.log.append(mean)
-        adam_step(params, acc, opt)
+    # a diverging step overflows; it is reported once, as TrainingDivergedError,
+    # and not also as numpy warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            acc: dict[str, np.ndarray] | None = None
+            reports: list[LossReport] = []
+            for j in range(opt.batch_size):
+                c = (opt.step * opt.batch_size + j) % len(cases)
+                try:
+                    report, grads = _case_pass(params, cases[c], loss_kind, region)
+                except DomainError as exc:
+                    # the cases, kind and region were checked already, so only a
+                    # prediction or gradient that stopped being finite gets here
+                    raise TrainingDivergedError(f"diverged at step {step}, case {c}: {exc}") from exc
+                reports.append(report)
+                if acc is None:
+                    acc = grads
+                else:
+                    for name in acc:
+                        acc[name] += grads[name]
+            assert acc is not None
+            for name in acc:
+                acc[name] /= opt.batch_size
+            mean = LossReport(**{c: sum(getattr(r, c) for r in reports) / len(reports) for c in _LOG_COLUMNS},
+                              n=reports[0].n, region=region)
+            if not math.isfinite(mean.total(loss_kind)):
+                # every component; the last column, rib, is a sum of them
+                shown = " ".join(f"{c}={getattr(mean, c)!r}" for c in _LOG_COLUMNS[:-1])
+                raise TrainingDivergedError(f"non-finite {loss_kind} loss at step {step}: {shown}")
+            result.log.append(mean)
+            adam_step(params, acc, opt)
     return result
 
 

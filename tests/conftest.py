@@ -94,7 +94,8 @@ def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, st
 
     Gradients below ``resolve_floor`` are beyond what the difference quotient
     can resolve in float64; those probes instead assert the numeric estimate is
-    itself negligible, so a dropped term would still surface.  With ``box``
+    itself negligible, so a dropped term would still surface.  A NaN error
+    is the worst case and is kept, so no tolerance passes it.  With ``box``
     the loss is scored on that crop only, as training's defect-crop region
     does, and the net runs on that box's cone of each layer.
     """
@@ -120,7 +121,7 @@ def net_fd_worst(params, x, g, kind="mse+err+gf", h=1e-6, resolve_floor=2e-7, st
                 assert abs(numeric) < 1e-6, f"{name}[{j}]: analytic ~0 but numeric {numeric}"
                 continue
             rel = abs(gflat[j] - numeric) / max(abs(gflat[j]), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+            worst = np.maximum(worst, rel)  # keeps a NaN, which max() would drop
     return worst
 
 

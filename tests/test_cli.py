@@ -5,6 +5,7 @@ import inspect
 import os
 import shutil
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -93,10 +94,11 @@ def test_prep_writes_case_files_and_manifest(tmp_path):
 
 def test_prep_rejects_impossible_placement(tmp_path, capsys):
     run_phantom(tmp_path)
-    out = tmp_path / "prep"
+    out = tmp_path / "prep" / "nested"
     code = run_prep(out, [tmp_path / "case000_ct.nii"], extra=("--min-bone-frac", "0.9"))
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "prep").exists()  # no directory is made before the first file
 
 
 def test_prep_rejects_a_case_id_that_breaks_csv_rows_before_writing(tmp_path, capsys):
@@ -106,7 +108,7 @@ def test_prep_rejects_a_case_id_that_breaks_csv_rows_before_writing(tmp_path, ca
     out = tmp_path / "prep"
     assert run_prep(out, [ct]) == 1
     assert capsys.readouterr().err.startswith("error: case_id: 'a,b' is empty or holds a comma")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_prep_rejects_a_repeated_case_id_before_writing(tmp_path, capsys):
@@ -117,7 +119,7 @@ def test_prep_rejects_a_repeated_case_id_before_writing(tmp_path, capsys):
     out = tmp_path / "prep"
     assert run_prep(out, [a, b]) == 1
     assert capsys.readouterr().err == f"error: case_id: {a} and {b} both give case id 'case000'\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_prep_rejects_a_case_id_utf8_cannot_encode_before_writing(tmp_path, capsys):
@@ -132,7 +134,7 @@ def test_prep_rejects_a_case_id_utf8_cannot_encode_before_writing(tmp_path, caps
     out = tmp_path / "prep"
     assert run_prep(out, [ct]) == 1
     assert capsys.readouterr().err.startswith("error: case_id: 'c\\udcff' is empty or holds")
-    assert list(out.iterdir()) == []  # no c\xff_* volume
+    assert not out.exists()  # no c\xff_* volume
 
 
 def test_prep_that_fails_writing_a_volume_leaves_no_manifest(tmp_path, monkeypatch, capsys):
@@ -153,7 +155,7 @@ def test_prep_rejects_a_defect_box_that_leaves_no_bone_outside_it(tmp_path, caps
     out = tmp_path / "prep"
     assert run_prep(out, [tmp_path / "case000_ct.nii"], extra=("--defect-size", "100", "100", "100")) == 1
     assert capsys.readouterr().err == "error: defect box (0, 0, 0)+(32, 32, 16) leaves no bone outside it\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_prep_defect_flags_reach_placement(tmp_path):
@@ -293,6 +295,26 @@ def test_train_rejects_an_infinite_rate_before_writing(tmp_path, capsys, flag):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_diverging_train_prints_one_error_line_and_leaves_no_directory(tmp_path, monkeypatch, capsys, workers):
+    # two workers run the forward's convs on threads of their own
+    monkeypatch.setattr("ribfill.net._two_workers", lambda *shape: workers == 2)
+    run_phantom(tmp_path, dims=(16, 16, 8))
+    prep = tmp_path / "prep"
+    assert main(["prep", str(tmp_path / "case000_ct.nii"), "--work-dims", "16", "16", "8",
+                 "--out-dir", str(prep)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        # a numpy warning would raise here rather than reach stderr beside the error
+        warnings.simplefilter("error")
+        code = main(["train", str(prep / "case000.manifest"), "--steps", "3", "--depth", "1",
+                     "--lr", "1e300", "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: diverged at step 2, case 0: "), err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_rejects_foreign_checkpoint(tmp_path, capsys):
     run_phantom(tmp_path)
     prep = tmp_path / "prep"
@@ -334,6 +356,15 @@ def test_gradcheck_passes_by_default(capsys):
 def test_gradcheck_reports_failure(capsys):
     assert main(["gradcheck", "--pairs", "2", "--kinds", "mse", "--tol", "1e-18"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_gradcheck_fails_on_a_nan_relative_error(capsys):
+    # with h = 1e300, (p + h)**2 overflows and the central difference is inf - inf = NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["gradcheck", "--pairs", "2", "--dims", "2", "2", "2", "--h", "1e300"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    for kind in ("mse", "err", "gf", "mse+err", "mse+err+gf"):
+        assert f"{kind}: max rel err nan (FAIL, tol 0.0001)" in out
 
 
 @pytest.mark.parametrize("argv, text", [

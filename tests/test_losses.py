@@ -136,8 +136,32 @@ def test_finite_diff_agreement_all_kinds():
         worst = 0.0
         for _ in range(3):
             pred, truth = _pair(rng, (5, 5, 5))
-            worst = max(worst, finite_diff_check(kind, pred, truth, h=1e-3))
+            worst = np.maximum(worst, finite_diff_check(kind, pred, truth, h=1e-3))  # keeps a NaN
         assert worst < 1e-4, f"{kind}: {worst}"
+
+
+@pytest.mark.parametrize("component", ["mse", "gf"])
+def test_a_nan_in_one_gradient_kernel_fails_the_fd_check(monkeypatch, component):
+    # fault injection: C2's oracle returns the NaN, where it once reported the worst finite error
+    value, grad = losses._COMPONENTS[component]
+
+    def planted(p, g):
+        out = grad(p, g)
+        out[-1] = np.nan
+        return out
+
+    monkeypatch.setitem(losses._COMPONENTS, component, (value, planted))
+    pred, truth = _pair(np.random.default_rng(7), (3, 3, 3))
+    for kind in (component, "mse+err+gf"):
+        assert np.isnan(finite_diff_check(kind, pred, truth, h=1e-3))
+    assert finite_diff_check("err", pred, truth, h=1e-3) < 1e-4
+
+
+def test_finite_diff_returns_nan_when_the_differences_overflow():
+    # (p +- h)**2 overflows, so the central difference is inf - inf
+    pred, truth = _pair(np.random.default_rng(8), (2, 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(finite_diff_check("mse", pred, truth, h=1e300))
 
 
 def test_finite_diff_rejects_bad_step():

@@ -243,6 +243,21 @@ def test_net_parameter_gradients_match_finite_differences(depth, box):
     assert net_fd_worst(params, x, g, stride=3, box=box) < 1e-3
 
 
+def test_a_nan_in_one_gradient_tensor_fails_the_net_fd_gate(monkeypatch):
+    # fault injection: the oracle of C3 must not drop a NaN relative error
+    params, x, g, _ = smooth_net_case(NetConfig(depth=1, base_channels=2), start_seed=5)
+    real = netmod.backward
+    for name in params.tensors:
+        def planted(tape, grad_out, name=name):
+            grads = real(tape, grad_out)
+            grads[name].flat[0] = np.nan
+            return grads
+
+        monkeypatch.setattr(netmod, "backward", planted)
+        worst = net_fd_worst(params, x, g, stride=97)
+        assert not worst < 1e-3, f"a NaN in {name}'s gradient passed with {worst}"
+
+
 def _dense_backward(tape, grad_out):
     """Full-grid reverse walk over the tape with direct 27-tap conv loops."""
     t = tape.params.tensors

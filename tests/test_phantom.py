@@ -172,18 +172,24 @@ def test_windowed_rasterizer_equals_the_all_samples_one(dims, rib_radius, jitter
     assert got.tobytes() == want.tobytes()
 
 
+def _or_halves(lo, hi):
+    """Floats in [lo, hi], or the integers and half-integers there, which sit on a square's edges."""
+    return st.floats(lo, hi) | st.integers(int(2 * lo), int(2 * hi)).map(lambda k: k / 2)
+
+
 @settings(max_examples=200)
 @given(
     shape=st.tuples(st.integers(1, 12), st.integers(4, 40), st.integers(4, 40)),
     a=st.floats(2.0, 30.0),
     b=st.floats(2.0, 30.0),
-    r=st.floats(0.3, 4.0),
-    centre=st.tuples(st.floats(-4.0, 44.0), st.floats(-4.0, 44.0), st.floats(0.0, 11.0)),
+    r=_or_halves(0.5, 8.0) | st.floats(0.3, 0.5),
+    centre=st.tuples(_or_halves(-4.0, 44.0), _or_halves(-4.0, 44.0), _or_halves(0.0, 11.0)),
     mirror=st.booleans(),
 )
 def test_one_tube_equals_the_all_samples_rasterizer(shape, a, b, r, centre, mirror):
-    # tubes that leave the grid, and integer centres and radii that put pixels
-    # exactly r from a sample, are the edge cases of each chunk's window
+    # tubes that leave the grid, and integer and half-integer centres and radii,
+    # which put pixels exactly r or r + 1 from a sample and make 2r + 2 whole,
+    # are the edge cases of each sample's square of ceil(2r + 2) + 2 pixels
     cx, cy, zc = centre
     got = np.zeros(shape, dtype=bool)
     want = np.zeros(shape, dtype=bool)
