@@ -106,7 +106,9 @@ def normalize_ct(ct: Volume, window: tuple[float, float] = DEFAULT_WINDOW) -> Vo
     lo, hi = (float(window[0]), float(window[1]))
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise DomainError(f"window must be finite with lo < hi, got {window}")
-    out = (np.clip(ct.data, lo, hi) - lo) / (hi - lo)
+    out = np.clip(ct.data, lo, hi)
+    out -= lo
+    out /= hi - lo
     np.clip(out, 0.0, 1.0, out=out)
     return Volume(out, ct.spacing, UNIT)
 
@@ -157,10 +159,11 @@ def split_case(bone: Mask, box: Box, seed: int) -> TrainingCase:
     """Split the stencil at ``box`` into defective input and implant target, neither of them empty."""
     if not box.fits(bone.dims):
         raise BoundsError(f"box {box.origin}+{box.size} exceeds dims {bone.dims}")
-    implant = np.zeros_like(bone.data)
-    implant[box.slices] = bone.data[box.slices]
-    if not implant.any():
+    inside = bone.data[box.slices]
+    if not inside.any():
         raise EmptyImplantError(f"defect box {box.origin}+{box.size} contains no bone")
+    implant = np.zeros_like(bone.data)
+    implant[box.slices] = inside
     defective = bone.data.copy()
     defective[box.slices] = 0.0
     if not defective.any():

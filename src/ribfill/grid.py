@@ -69,14 +69,17 @@ class Volume:
             raise ShapeError(f"all dims must be at least 1, got shape {arr.shape}")
         if arr.dtype != np.float64 or not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        # a value in [0, 1] is finite, so a unit-domain array inside it skips the finiteness scan;
+        # NaN fails both comparisons and an infinity the range, and those still get the error below
+        in_unit = self.domain == UNIT and arr.min() >= 0.0 and arr.max() <= 1.0
+        if not in_unit and not np.isfinite(arr).all():
             raise DomainError("volume contains non-finite values")
         sp = tuple(float(s) for s in self.spacing)
         if len(sp) != 3 or any(not np.isfinite(s) or s <= 0.0 for s in sp):
             raise DomainError(f"spacing must be three positive finite mm values, got {self.spacing}")
         if self.domain not in DOMAINS:
             raise DomainError(f"unknown value domain {self.domain!r}")
-        if self.domain == UNIT and (arr.min() < 0.0 or arr.max() > 1.0):
+        if self.domain == UNIT and not in_unit:
             raise DomainError("unit-domain volume has values outside [0, 1]")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -191,8 +194,9 @@ def trilinear_resize(v: Volume, dims: tuple[int, int, int]) -> Volume:
     """Separable corner-aligned linear resample to ``dims`` = (W', H', D').
 
     Endpoints map to endpoints, so constants are preserved exactly and the
-    output range never leaves the input range.  Spacing is rescaled by the
-    dims ratio so physical extent is carried along.
+    output range never leaves the input range.  A resample to the volume's
+    own dims is a copy, bit for bit.  Spacing is rescaled by the dims ratio
+    so physical extent is carried along.
     """
     w2, h2, d2 = (int(n) for n in dims)
     if min(w2, h2, d2) < 1:
@@ -203,8 +207,9 @@ def trilinear_resize(v: Volume, dims: tuple[int, int, int]) -> Volume:
     out = _resize_axis(out, 1, h2)
     out = _resize_axis(out, 0, d2)
     if out is v.data:
-        out = out.copy()
-    np.clip(out, v.data.min(), v.data.max(), out=out)
+        out = out.copy()  # no axis changed; the data is finite, so a clip to its own range is a no-op
+    else:
+        np.clip(out, v.data.min(), v.data.max(), out=out)
     sx, sy, sz = v.spacing
     spacing = (sx * w1 / w2, sy * h1 / h2, sz * d1 / d2)
     return Volume(out, spacing, v.domain)
@@ -228,11 +233,13 @@ def crop(v: Volume, box: Box) -> Volume:
 # file output
 
 
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace the file at ``path`` with ``data`` so that it is never seen half written.
+def _write_atomic(path: str | Path, *parts: bytes | np.ndarray) -> None:
+    """Replace the file at ``path`` with the concatenation of ``parts`` so that it is never seen half written.
 
-    The bytes go to ``<name>.<pid>.tmp`` beside ``path``, are flushed and
-    synced to disk and then renamed onto it.  A failed or interrupted write
+    Each part is a bytes-like object (a C-contiguous array counts) and is
+    written as it is, so no joined copy is made.  The bytes go to
+    ``<name>.<pid>.tmp`` beside ``path``, are flushed and synced to disk and
+    then renamed onto it.  A failed or interrupted write
     removes the temporary and leaves the previous file whole; only a killed
     process can leave the temporary behind, next to an intact target.
     """
@@ -240,7 +247,8 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

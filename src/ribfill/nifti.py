@@ -29,6 +29,7 @@ DT_UINT8 = 2
 DT_FLOAT32 = 16
 _DTYPES = {"float32": (DT_FLOAT32, 32), "uint8": (DT_UINT8, 8)}
 _CODES = {DT_FLOAT32: "float32", DT_UINT8: "uint8"}
+_QUANT_BLOCK = 1 << 14  # float64 voxels quantised per block, 128 KiB of scratch
 
 
 class NiftiError(ValueError):
@@ -106,6 +107,20 @@ def _unpack_header(raw: bytes) -> VolumeHeader:
     return VolumeHeader(dims=(w, h, d), spacing=spacing, datatype=datatype)
 
 
+def _quantise(data: np.ndarray) -> np.ndarray:
+    """``floor(data * 255 + 0.5)`` as uint8, the same three float64 operations a block at a time in place."""
+    flat = data.reshape(-1)
+    out = np.empty(flat.size, dtype=np.uint8)
+    buf = np.empty(min(flat.size, _QUANT_BLOCK))
+    for i in range(0, flat.size, _QUANT_BLOCK):
+        b = buf[: flat.size - i]
+        np.multiply(flat[i : i + _QUANT_BLOCK], 255.0, out=b)
+        b += 0.5
+        np.floor(b, out=b)
+        out[i : i + b.size] = b
+    return out.reshape(data.shape)
+
+
 def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> VolumeHeader:
     """Serialise ``v``; returns the header that was written.
 
@@ -121,7 +136,7 @@ def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> Volu
     if datatype == "uint8":
         if v.domain != UNIT:
             raise DomainError("uint8 output needs a unit-domain volume")
-        payload = np.floor(v.data * 255.0 + 0.5).astype(np.uint8)
+        payload = _quantise(v.data)
     else:
         with np.errstate(over="ignore"):
             payload = v.data.astype("<f4")
@@ -129,7 +144,7 @@ def write_volume(path: str | Path, v: Volume, datatype: str = "float32") -> Volu
             raise NiftiError("data", "a value is beyond float32's range, so it would be stored as inf")
     header = VolumeHeader(dims=v.dims, spacing=v.spacing, datatype=datatype)
     raw = _pack_header(header)  # a bad header raises here, before any file is made or touched
-    _write_atomic(path, raw + b"\x00\x00\x00\x00" + payload.tobytes())
+    _write_atomic(path, raw + b"\x00\x00\x00\x00", payload)
     return header
 
 
@@ -148,13 +163,14 @@ def read_volume(path: str | Path, domain: str | None = None) -> tuple[Volume, Vo
         w, h, d = header.dims
         itemsize = 1 if header.datatype == "uint8" else 4
         need = w * h * d * itemsize
-        payload = raw[DATA_OFFSET:]
+        payload = memoryview(raw)[DATA_OFFSET:]
         if len(payload) < need:
             raise NiftiError("data", f"payload truncated: need {need} bytes, have {len(payload)}")
         if len(payload) > need:
             raise NiftiError("data", f"payload oversized: need {need} bytes, have {len(payload)}")
         if header.datatype == "uint8":
-            arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
+            arr = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+            arr /= 255.0
             dom = UNIT if domain is None else domain
         else:
             arr = np.frombuffer(payload, dtype="<f4").astype(np.float64)

@@ -118,7 +118,8 @@ def _rasterize_tube(
     index needs a mask; ``d2`` is that window cropped to the reach.  A pixel
     within ``r`` of its nearest sample gets the exact minimum from that
     sample's square; any other fails every disc test
-    ``d2 <= r*r - (z - zc)**2`` whatever value it holds.
+    ``d2 <= r*r - (z - zc)**2`` whatever value it holds.  One comparison
+    tests every plane of the tube at once, and one OR writes them.
     """
     dz, hy, wx = bone.shape
     m = max(16, int(math.ceil(math.pi * max(a, b) / _ARC_STEP)) + 1)
@@ -128,7 +129,9 @@ def _rasterize_tube(
 
     x0, x1 = _reach(px, r, wx)
     y0, y1 = _reach(py, r, hy)
-    if x1 < x0 or y1 < y0:
+    z_lo = max(0, int(math.ceil(zc - r)))
+    z_hi = min(dz - 1, int(math.floor(zc + r)))
+    if x1 < x0 or y1 < y0 or z_hi < z_lo:
         return
     n = int(math.ceil(2.0 * r + 2.0)) + 2
     k = np.arange(n)
@@ -147,17 +150,13 @@ def _rasterize_tube(
         np.minimum.at(pad, (corner[s, None] + square).ravel(), (dy2[s, :, None] + dx2[s, None, :]).ravel())
     d2 = pad.reshape(rows, cols)[y0 - oy : y1 - oy + 1, x0 - ox : x1 - ox + 1]
 
-    z_lo = max(0, int(math.ceil(zc - r)))
-    z_hi = min(dz - 1, int(math.floor(zc + r)))
-    for z in range(z_lo, z_hi + 1):
-        rad2 = r * r - (z - zc) ** 2
-        if rad2 < 0.0:
-            continue
-        disc = d2 <= rad2
-        if mirror:
-            bone[z, y0 : y1 + 1, wx - 1 - x1 : wx - x0] |= disc[:, ::-1]
-        else:
-            bone[z, y0 : y1 + 1, x0 : x1 + 1] |= disc
+    # a plane whose rad2 rounds below 0 gets an all-false disc, since every d2 is >= 0
+    rad2 = np.array([r * r - (z - zc) ** 2 for z in range(z_lo, z_hi + 1)])
+    disc = d2 <= rad2[:, None, None]
+    if mirror:
+        bone[z_lo : z_hi + 1, y0 : y1 + 1, wx - 1 - x1 : wx - x0] |= disc[:, :, ::-1]
+    else:
+        bone[z_lo : z_hi + 1, y0 : y1 + 1, x0 : x1 + 1] |= disc
 
 
 def _bone_stencil(spec: PhantomSpec) -> np.ndarray:
@@ -218,7 +217,7 @@ def generate_phantom(spec: PhantomSpec = PhantomSpec()) -> Volume:
     yg = (np.arange(h, dtype=np.float64) - cy) / b_t
     torso_xy = (xg[None, :] ** 2 + yg[:, None] ** 2) <= 1.0
 
-    vol = np.full((d, h, w), spec.hu_air, dtype=np.float64)
-    vol[:, torso_xy] = spec.hu_soft
-    vol[_bone_stencil(spec)] = spec.hu_bone
+    vol = np.empty((d, h, w), dtype=np.float64)
+    vol[...] = np.where(torso_xy, spec.hu_soft, spec.hu_air)
+    np.copyto(vol, spec.hu_bone, where=_bone_stencil(spec))
     return Volume(vol, spec.spacing, HU)

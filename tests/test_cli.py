@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through ``main``."""
 
 import functools
+import hashlib
 import inspect
 import os
 import shutil
@@ -90,6 +91,32 @@ def test_prep_writes_case_files_and_manifest(tmp_path):
     bone = read_volume(out / "case000_bone.nii")[0]
     assert np.array_equal(bone.data, np.maximum(defective.data, implant.data))
     assert implant.data[m.box.slices].sum() == implant.data.sum()
+
+
+@pytest.mark.parametrize("phantom_args, prep_args, digests", [
+    # the CLI defaults: a 96x96x48 phantom resampled to the 64x64x32 working grid
+    ((), (), {
+        "case000.manifest": "ebf6782f4234f2be75a28b82a698fd67a6760ff0117483fc2fa3c7a2f3b36035",
+        "case000_bone.nii": "0766cd8a5cca978ad2bbb047f7418595fad43e83cc24e01255d185ef22003914",
+        "case000_ct.nii": "4d25a1451d14c9b00e8bc87b4c05ebcf8c82e3d15d31b34a9640a167eaf73ce4",
+        "case000_defective.nii": "18cce536880ae3a857e6364ea4604af6a80f4baaff089182bda145edb47da879",
+        "case000_implant.nii": "88850132876c4bd260b9eba122f1c31b25472a6e5dd3c89866cfc6d0e778c1cd",
+    }),
+    # a 128x128x64 phantom prepared on its own grid, so every resample keeps the grid
+    (("--dims", "128", "128", "64", "--spacing", "3", "3", "6", "--seed", "7"),
+     ("--work-dims", "128", "128", "64"), {
+        "case000.manifest": "2703e8a91aecb5cbddd3374adc292341ae839bed688ad4b95cee440d87ba57b3",
+        "case000_bone.nii": "c43aafb0c111d456c79e022a14ff5c404e5f9bd8c0a125a75dee37cc4355a5ee",
+        "case000_ct.nii": "06ae44f4b764da8eb94f7e2d2349281c30b5833c64541e33f4bc37affb13468d",
+        "case000_defective.nii": "dac9066e4481427ae4fe5a7051b6c8759a65f267eaeeaef70f9815ebca99f8a4",
+        "case000_implant.nii": "6ae0cf6b5e13808df87e96c9bc38ef2ea65f413899c04a7b638f5d797f05ca4e",
+    }),
+], ids=["cli_default", "same_grid_128"])
+def test_prep_file_bytes_are_pinned(tmp_path, phantom_args, prep_args, digests):
+    assert main(["phantom", *phantom_args, "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "prep"
+    assert main(["prep", str(tmp_path / "case000_ct.nii"), *prep_args, "--out-dir", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
 
 
 def test_prep_rejects_impossible_placement(tmp_path, capsys):
@@ -360,11 +387,19 @@ def test_gradcheck_reports_failure(capsys):
 
 def test_gradcheck_fails_on_a_nan_relative_error(capsys):
     # with h = 1e300, (p + h)**2 overflows and the central difference is inf - inf = NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["gradcheck", "--pairs", "2", "--dims", "2", "2", "2", "--h", "1e300"]) == 1
+    assert main(["gradcheck", "--pairs", "2", "--dims", "2", "2", "2", "--h", "1e300"]) == 1
     out = capsys.readouterr().out.splitlines()
     for kind in ("mse", "err", "gf", "mse+err", "mse+err+gf"):
         assert f"{kind}: max rel err nan (FAIL, tol 0.0001)" in out
+
+
+def test_gradcheck_that_overflows_prints_its_fail_line_and_no_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would raise here instead of printing
+        assert main(["gradcheck", "--pairs", "1", "--dims", "2", "2", "2", "--h", "1e300", "--kinds", "mse"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "mse: max rel err nan (FAIL, tol 0.0001)\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("argv, text", [

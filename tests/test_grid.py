@@ -16,6 +16,7 @@ from ribfill.grid import (
     Mask,
     ShapeError,
     Volume,
+    _write_atomic,
     binarize,
     crop,
     trilinear_resize,
@@ -55,6 +56,40 @@ def test_volume_rejects_bad_input():
         Mask(np.full((2, 2, 2), 0.5), S)
     with pytest.raises(DomainError):
         Mask(np.zeros((2, 2, 2)), S, domain=HU)
+
+
+_NON_FINITE = "volume contains non-finite values"
+_OUT_OF_UNIT = "unit-domain volume has values outside [0, 1]"
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0.5, np.nan], _NON_FINITE),
+    ([0.5, np.inf], _NON_FINITE),
+    ([0.5, -np.inf], _NON_FINITE),
+    ([1.5, np.nan], _NON_FINITE),
+    ([1.5, np.inf], _NON_FINITE),
+    ([-np.inf, 1.5], _NON_FINITE),
+    ([0.5, 1.5], _OUT_OF_UNIT),
+    ([-0.5, 0.5], _OUT_OF_UNIT),
+], ids=["nan", "inf", "-inf", "nan+1.5", "inf+1.5", "-inf+1.5", "1.5", "-0.5"])
+def test_unit_volume_reports_non_finite_before_out_of_range(values, message):
+    """The range scan stands in for the finiteness scan on unit data, so its errors keep their order."""
+    with pytest.raises(DomainError) as exc:
+        Volume(np.array(values).reshape(1, 1, -1), S, UNIT)
+    assert str(exc.value) == message
+    # finiteness is checked before the spacing, the unit range after it
+    with pytest.raises(DomainError) as exc:
+        Volume(np.array(values).reshape(1, 1, -1), (1.0, 0.0, 1.0), UNIT)
+    assert str(exc.value).startswith(message if message == _NON_FINITE else "spacing must be")
+
+
+def test_unit_volume_accepts_its_closed_range_and_masks_stay_exact():
+    v = Volume(np.array([-0.0, 0.0, 0.25, 1.0]).reshape(1, 1, 4), S, UNIT)
+    assert v.data.tobytes() == np.array([-0.0, 0.0, 0.25, 1.0]).tobytes()
+    Mask(np.array([-0.0, 1.0]).reshape(1, 1, 2), S)
+    with pytest.raises(DomainError) as exc:
+        Mask(np.array([0.0, 0.5]).reshape(1, 1, 2), S)
+    assert str(exc.value) == "mask values must be exactly 0 or 1"
 
 
 def test_ravel_is_x_fastest():
@@ -97,6 +132,18 @@ def test_resize_identity_spacing_and_constants():
     assert out.spacing == (1.5 * 4 / 8, 2.0 * 5 / 10, 2.5 * 6 / 3)
     const = Volume(np.full((6, 5, 4), 0.1), S)
     assert np.all(trilinear_resize(const, (9, 7, 11)).data == 0.1)
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 0.0, -2.5, 7.0, 5e-324, -1e308],
+    [0.0, -0.0, 1.0, -0.0, 0.5, 0.0],  # the range's own ends are signed zeros
+])
+def test_resize_to_the_same_grid_is_a_bitwise_copy(values):
+    v = Volume(np.array(values).reshape(1, 2, 3), (1.5, 2.0, 2.5))
+    same = trilinear_resize(v, v.dims)
+    assert same.data.tobytes() == v.data.tobytes()
+    assert not np.shares_memory(same.data, v.data)
+    assert (same.spacing, same.domain) == (v.spacing, v.domain)
 
 
 def test_resize_corner_aligned_endpoints():
@@ -253,6 +300,15 @@ _WRITERS = {
     "metrics.csv": ("metrics.csv", lambda out, case: _run_cli([
         "eval", str(case[0]), "--checkpoint", str(case[1]), "--out-dir", str(out)])),
 }
+
+
+def test_write_atomic_writes_its_parts_concatenated(tmp_path):
+    target = tmp_path / "parts.bin"
+    target.write_bytes(b"previous bytes\n")
+    arr = np.arange(12, dtype="<f4").reshape(3, 4)
+    _write_atomic(target, b"head", bytearray(b"-"), arr, b"")
+    assert target.read_bytes() == b"head-" + arr.tobytes()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("step", ["write", "fsync", "replace"])

@@ -12,6 +12,7 @@ from ribfill.nifti import (
     HEADER_SIZE,
     MAGIC,
     NiftiError,
+    _QUANT_BLOCK,
     read_volume,
     write_volume,
 )
@@ -81,6 +82,24 @@ def test_uint8_quantisation_rounds_half_up(tmp_path):
     write_volume(path, v, "uint8")
     payload = np.frombuffer(path.read_bytes()[DATA_OFFSET:], dtype=np.uint8)
     assert payload.tolist() == [0, 128, 255, 1]  # 0.002*255+0.5 = 1.01 -> 1
+
+
+def test_uint8_quantisation_in_blocks_equals_the_one_shot_formula(tmp_path):
+    """The quantiser works a block at a time; its bytes across block edges match floor(x*255+0.5)."""
+    rng = np.random.default_rng(11)
+    w = 3 * _QUANT_BLOCK // 21 + 5  # (3, 7, w) holds three blocks and part of a fourth
+    n = 21 * w
+    x = rng.uniform(size=n)
+    x[::5] = rng.integers(0, 256, size=x[::5].size) / 255.0
+    x[::7] = (rng.integers(0, 255, size=x[::7].size) + 0.5) / 255.0  # halfway points round up
+    x[:4] = [-0.0, 0.0, 1.0, np.nextafter(1.0, 0.0)]
+    v = Volume(x.reshape(3, 7, w), (1.0, 1.0, 1.0), UNIT)
+    path = tmp_path / "q.nii"
+    write_volume(path, v, "uint8")
+    payload = path.read_bytes()[DATA_OFFSET:]
+    assert payload == np.floor(x * 255.0 + 0.5).astype(np.uint8).tobytes()
+    back = read_volume(path)[0]
+    assert back.data.tobytes() == (np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0).tobytes()
 
 
 def test_uint8_requires_unit_domain(tmp_path):

@@ -183,11 +183,11 @@ def _or_halves(lo, hi):
     a=st.floats(2.0, 30.0),
     b=st.floats(2.0, 30.0),
     r=_or_halves(0.5, 8.0) | st.floats(0.3, 0.5),
-    centre=st.tuples(_or_halves(-4.0, 44.0), _or_halves(-4.0, 44.0), _or_halves(0.0, 11.0)),
+    centre=st.tuples(_or_halves(-4.0, 44.0), _or_halves(-4.0, 44.0), _or_halves(-9.0, 20.0)),
     mirror=st.booleans(),
 )
 def test_one_tube_equals_the_all_samples_rasterizer(shape, a, b, r, centre, mirror):
-    # tubes that leave the grid, and integer and half-integer centres and radii,
+    # tubes that leave the grid, on any axis, and integer and half-integer centres and radii,
     # which put pixels exactly r or r + 1 from a sample and make 2r + 2 whole,
     # are the edge cases of each sample's square of ceil(2r + 2) + 2 pixels
     cx, cy, zc = centre
